@@ -192,21 +192,13 @@ pub struct DiscoveryEngine {
     /// one O(nodes) length scan per phase — and deterministic, unlike
     /// the tier-2 `memrt.*` allocator view.
     mem: MemTable,
-    /// Worker pool for in-wave parallel stages (the batched hello phase).
-    /// Sized from `SND_THREADS` unless overridden; thread count never
-    /// changes results (DESIGN.md §9/§14).
+    /// Worker pool for the per-node steps of every delivery pump. Sized
+    /// from `SND_THREADS` unless overridden; thread count never changes
+    /// results (DESIGN.md §9/§14).
     exec: Executor,
-    /// Whether the hello phase runs through the batched per-node bulk
-    /// path (the default) or the pre-batch message-at-a-time reference
-    /// ([`DiscoveryEngine::wave_serial_reference`]).
-    batched_hello: bool,
-    /// Whether the collect and finalize phases run through the batched
-    /// per-node bulk path (the default) or the message-at-a-time serial
-    /// reference. Independent of `batched_hello` so equivalence tests can
-    /// exercise each stage's two paths separately.
-    batched_collect: bool,
-    /// Reusable encode scratch for every serial-path send: payloads that
-    /// inline (hello family, acks, requests) cost no allocation at all.
+    /// Reusable encode scratch for the engine's own sends (phase drivers,
+    /// `HelloAck` replay, reliable unicasts): payloads that inline (hello
+    /// family, acks, requests) cost no allocation at all.
     pool: PayloadPool,
     /// Waves completed, for event numbering (first wave is 1).
     waves_run: u64,
@@ -256,8 +248,6 @@ impl DiscoveryEngine {
             profiler: Profiler::disabled(),
             mem: MemTable::new(),
             exec: Executor::from_env(),
-            batched_hello: true,
-            batched_collect: true,
             pool: PayloadPool::new(),
             waves_run: 0,
             auto_update_benign: true,
@@ -402,33 +392,6 @@ impl DiscoveryEngine {
         self.exec
     }
 
-    /// Routes the hello phase through the pre-batch serial reference
-    /// path (`false`) instead of the batched bulk path (`true`, the
-    /// default). The two are byte-identical — `wave_serial_reference` in
-    /// `tests/wave_equivalence.rs` is the differential proof — so the
-    /// serial path exists only as that test's oracle.
-    pub fn set_batched_hello(&mut self, enabled: bool) {
-        self.batched_hello = enabled;
-    }
-
-    /// Whether the hello phase uses the batched bulk path.
-    pub fn batched_hello(&self) -> bool {
-        self.batched_hello
-    }
-
-    /// Routes the collect and finalize phases through the pre-batch
-    /// serial reference path (`false`) instead of the batched bulk path
-    /// (`true`, the default). Byte-identical by construction — see
-    /// DESIGN.md §15 and `tests/wave_equivalence.rs`.
-    pub fn set_batched_collect(&mut self, enabled: bool) {
-        self.batched_collect = enabled;
-    }
-
-    /// Whether the collect/finalize phases use the batched bulk path.
-    pub fn batched_collect(&self) -> bool {
-        self.batched_collect
-    }
-
     /// Enables or disables the per-node pairwise-key memo caches, for all
     /// already-deployed nodes and everything deployed later. On by default;
     /// turning it off forces every derivation back through the hash chain
@@ -565,13 +528,8 @@ impl DiscoveryEngine {
                         .broadcast_meta(id, payload, meta_retx("hello", original));
                 }
             }
-            if self.batched_hello {
-                self.pump_hello(); // deliver Hellos; acks queued
-                self.pump_hello(); // deliver acks; tentative lists complete
-            } else {
-                self.pump(); // deliver Hellos; acks queued
-                self.pump(); // deliver acks; tentative lists complete
-            }
+            self.pump(); // deliver Hellos; acks queued
+            self.pump(); // deliver acks; tentative lists complete
         }
         mem_scope.close();
         self.sample_memory(Phase::Hello.name());
@@ -624,8 +582,8 @@ impl DiscoveryEngine {
                 self.request_origin.insert((id, v), msg_id);
             }
         }
-        self.pump_step(); // deliver requests; replies queued
-        self.pump_step(); // deliver replies; records collected
+        self.pump(); // deliver requests; replies queued
+        self.pump(); // deliver replies; records collected
         if rel.enabled {
             let _prof_arq = self.profiler.span("arq_repull");
             let deadline = self.sim.now() + rel.phase_timeout;
@@ -786,14 +744,14 @@ impl DiscoveryEngine {
             }
         }
         prof_validate.close();
-        self.pump_step(); // deliver commitments & evidence
+        self.pump(); // deliver commitments & evidence
         if rel.enabled {
             let _prof_arq = self.profiler.span("arq_resend");
             // Acknowledged unicast: resend whatever has not been acked,
             // backing off exponentially, until everything is confirmed or
             // the budget/deadline runs out. Receivers handle re-delivery
             // idempotently, so a lost *ack* cannot corrupt state.
-            self.pump_step(); // deliver the acks the first pump provoked
+            self.pump(); // deliver the acks the first pump provoked
             let deadline = self.sim.now() + rel.phase_timeout;
             for attempt in 0..rel.retry_budget {
                 if self.outstanding.is_empty() || self.sim.now() >= deadline {
@@ -874,11 +832,11 @@ impl DiscoveryEngine {
 
     /// Pumps repeatedly until at least `d` of simulated time has passed
     /// (each pump advances the clock one 2 ms delivery step). Used by the
-    /// collect/finalize ARQ loops, so it follows `batched_collect`.
+    /// collect/finalize ARQ loops.
     fn pump_for(&mut self, d: SimDuration) {
         let mut remaining = d.as_micros();
         loop {
-            self.pump_step();
+            self.pump();
             remaining = remaining.saturating_sub(2_000);
             if remaining == 0 {
                 break;
@@ -886,534 +844,175 @@ impl DiscoveryEngine {
         }
     }
 
-    /// One collect/finalize delivery step: the batched bulk path by
-    /// default, the serial reference when `set_batched_collect(false)`.
-    fn pump_step(&mut self) {
-        if self.batched_collect {
-            self.pump_batched();
-        } else {
-            self.pump();
-        }
-    }
-
-    /// Advances the clock one delivery step and dispatches every delivered
-    /// frame to its receiver's protocol logic, message at a time. Only
-    /// receivers whose inboxes saw deliveries are visited (ascending id,
-    /// exactly the order the historical every-node sweep dispatched in).
+    /// Advances the clock one 2 ms delivery step and lets every receiver
+    /// react to what it was delivered.
+    ///
+    /// Inboxes are drained all at once and [`step`] — the one per-node
+    /// handler, covering every message kind — fans out across
+    /// [`Executor::map_mut`]: each worker owns exactly one receiver's node
+    /// state, so nothing it mutates is shared. Every engine-global
+    /// consequence (sends with their order-sensitive ledger ids, ARQ
+    /// settlement, provenance maps, report counters, recorder events and
+    /// the attacker's logic) comes back as an ordered [`Effect`] list and
+    /// is replayed in (receiver ascending, frame order) — the order a
+    /// message-at-a-time dispatcher would produce, which is what keeps
+    /// every wave byte-identical at any `SND_THREADS` (DESIGN.md §14).
     fn pump(&mut self) {
         self.sim.advance(SimDuration::from_millis(2));
-        for (id, inbox) in self.sim.drain_all_inboxes() {
-            for frame in inbox {
-                self.dispatch(id, frame);
-            }
-        }
-    }
-
-    /// One hello-phase delivery step through the batched bulk path.
-    ///
-    /// Inboxes are drained all at once and the per-node frame handling —
-    /// decode, direct verification, `add_tentative` — fans out across
-    /// [`Executor::map_mut`]: each worker owns exactly one node's state,
-    /// so nothing it mutates is shared. Every *global* effect (the
-    /// `hello_origin`/`wave_contacts` bookkeeping, recorder events, and
-    /// above all the `HelloAck` sends with their order-sensitive ledger
-    /// ids) is emitted as a [`HelloEffect`] and applied afterwards in
-    /// (receiver ascending, frame order) — precisely the order the serial
-    /// reference dispatches in, which is what makes the two paths
-    /// byte-identical at any `SND_THREADS` (DESIGN.md §14).
-    ///
-    /// A node whose inbox holds anything other than `Hello`/`HelloAck`
-    /// (cross-phase stragglers under reordering faults), or whose
-    /// receiver is compromised or unknown to the engine, is *deferred*:
-    /// its whole inbox goes through the serial [`DiscoveryEngine::dispatch`]
-    /// at its merge position, preserving the global order exactly.
-    fn pump_hello(&mut self) {
-        self.sim.advance(SimDuration::from_millis(2));
         let inboxes = self.sim.drain_all_inboxes();
         if inboxes.is_empty() {
             return;
         }
+        let ctx = StepContext {
+            direct_verification: self.direct_verification,
+            max_range: self.radio.max_range(),
+            ops: &self.ops,
+        };
 
-        let direct_verification = self.direct_verification;
-        let max_range = self.radio.max_range();
-        let exec = self.exec;
-
-        // Pair each inbox with exclusive access to its node's state by a
-        // single ascending merge over the node map (both are id-sorted).
-        let mut work: Vec<HelloWork<'_>> = Vec::with_capacity(inboxes.len());
-        {
-            let adversary = &self.adversary;
-            // `inboxes` is ascending with distinct ids, so exclusive
-            // access to each receiver's slot is carved off the dense node
-            // table with O(1) split_at_mut steps.
-            let mut remaining = self.nodes.as_mut_slice();
-            let mut offset = 0usize;
-            for (id, frames) in inboxes {
-                let idx = id.0 as usize;
-                let node = if idx < offset || idx - offset >= remaining.len() {
-                    None
-                } else {
-                    let tail = std::mem::take(&mut remaining).split_at_mut(idx - offset).1;
-                    let (slot, rest) = tail.split_first_mut().expect("tail non-empty");
-                    remaining = rest;
-                    offset = idx + 1;
-                    slot.as_mut()
-                };
-                // Compromised receivers run attacker logic against
-                // engine-global state: serial path only.
-                let node = node.filter(|_| !adversary.controls(id));
-                work.push(HelloWork { id, frames, node });
-            }
+        // Pair each inbox with exclusive access to its receiver's state.
+        // `inboxes` is ascending with distinct ids, so each slot is carved
+        // off the dense node table with O(1) split_at_mut steps.
+        let mut work: Vec<Inbox<'_>> = Vec::with_capacity(inboxes.len());
+        let mut remaining = self.nodes.as_mut_slice();
+        let mut offset = 0usize;
+        for (id, frames) in inboxes {
+            let idx = id.0 as usize;
+            let node = if idx < offset || idx - offset >= remaining.len() {
+                None
+            } else {
+                let tail = std::mem::take(&mut remaining).split_at_mut(idx - offset).1;
+                let (slot, rest) = tail.split_first_mut().expect("tail non-empty");
+                remaining = rest;
+                offset = idx + 1;
+                slot.as_mut()
+            };
+            let role = if self.adversary.controls(id) {
+                Role::Adversary
+            } else {
+                Role::Benign(node)
+            };
+            work.push(Inbox { id, frames, role });
         }
 
-        let outcomes = exec.map_mut(&mut work, |_, w| {
-            process_hello_inbox(w, direct_verification, max_range)
-        });
-
-        // Drop the node borrows; only ids + raw frames travel onward.
-        let merged: Vec<(NodeId, Vec<Delivered>, HelloOutcome)> = work
-            .into_iter()
-            .zip(outcomes)
-            .map(|(w, outcome)| (w.id, w.frames, outcome))
-            .collect();
-
-        for (receiver, frames, outcome) in merged {
-            match outcome {
-                HelloOutcome::Batched(effects) => {
-                    for effect in effects {
-                        match effect {
-                            HelloEffect::Origin { peer, cause } => {
-                                self.hello_origin.entry((receiver, peer)).or_insert(cause);
-                            }
-                            HelloEffect::Tentative { peer } => {
-                                if self.recorder.enabled() {
-                                    self.recorder.record(Event::TentativeAdded {
-                                        node: receiver,
-                                        peer,
-                                    });
-                                }
-                            }
-                            HelloEffect::Contact { peer } => {
-                                self.wave_contacts.entry(receiver).or_insert(peer);
-                            }
-                            HelloEffect::Ack { peer, cause } => {
-                                let payload = self
-                                    .pool
-                                    .build(|b| Message::HelloAck { from: receiver }.encode_into(b));
-                                self.sim.unicast_meta(
-                                    receiver,
-                                    peer,
-                                    payload,
-                                    TxMeta::reply("hello_ack", cause),
-                                );
-                            }
-                            HelloEffect::Malformed => self.report.malformed_frames += 1,
-                        }
-                    }
-                }
-                HelloOutcome::Deferred => {
-                    for frame in frames {
-                        self.dispatch(receiver, frame);
-                    }
-                }
-            }
+        let reactions = self
+            .exec
+            .map_mut(&mut work, |_, w| step(w.id, &mut w.role, &w.frames, &ctx));
+        // Drop the node borrows (and the frames); only ids travel onward.
+        let receivers: Vec<NodeId> = work.into_iter().map(|w| w.id).collect();
+        for (receiver, reaction) in receivers.into_iter().zip(reactions) {
+            self.replay(receiver, reaction);
         }
     }
 
-    /// One collect/finalize delivery step through the batched bulk path.
-    ///
-    /// The same shape as [`DiscoveryEngine::pump_hello`], generalized to
-    /// the record-exchange and commitment traffic those phases move:
-    /// inboxes drain all at once, per-node frame handling (decode, record
-    /// authentication, commitment verification — the crypto-heavy work)
-    /// fans out across [`Executor::map_mut`] with each worker owning
-    /// exactly one node's state, and every *global* effect comes back as
-    /// an ordered [`CollectEffect`] list replayed in (receiver ascending,
-    /// frame order) — the exact order the serial dispatcher produces, so
-    /// ledger msg ids, fault-plan RNG draws, `outstanding` ARQ state and
-    /// the event stream stay byte-identical at any `SND_THREADS`
-    /// (DESIGN.md §15).
-    ///
-    /// An inbox is batchable only when the receiver is benign and known
-    /// and every frame is pure collect/finalize traffic: `RecordRequest`,
-    /// `RecordReply`, `Ack`, or a `Reliable` envelope wrapping a
-    /// `RelationCommit`/`Evidence` (undecodable frames batch as malformed
-    /// tallies, exactly like the serial path). Anything else — hello
-    /// stragglers under reordering faults, update traffic, compromised or
-    /// unknown receivers (whose `Ack`/`Reliable` transport framing the
-    /// serial path still processes) — defers the whole inbox to
-    /// [`DiscoveryEngine::dispatch`] at its merge position.
-    fn pump_batched(&mut self) {
-        self.sim.advance(SimDuration::from_millis(2));
-        let inboxes = self.sim.drain_all_inboxes();
-        if inboxes.is_empty() {
-            return;
-        }
-
-        let exec = self.exec;
-        let ops = self.ops.clone();
-
-        // Pair each inbox with exclusive access to its node's state by a
-        // single ascending merge over the node map (both are id-sorted).
-        let mut work: Vec<CollectWork<'_>> = Vec::with_capacity(inboxes.len());
-        {
-            let adversary = &self.adversary;
-            // `inboxes` is ascending with distinct ids, so exclusive
-            // access to each receiver's slot is carved off the dense node
-            // table with O(1) split_at_mut steps.
-            let mut remaining = self.nodes.as_mut_slice();
-            let mut offset = 0usize;
-            for (id, frames) in inboxes {
-                let idx = id.0 as usize;
-                let node = if idx < offset || idx - offset >= remaining.len() {
-                    None
-                } else {
-                    let tail = std::mem::take(&mut remaining).split_at_mut(idx - offset).1;
-                    let (slot, rest) = tail.split_first_mut().expect("tail non-empty");
-                    remaining = rest;
-                    offset = idx + 1;
-                    slot.as_mut()
-                };
-                // Compromised receivers run attacker logic against
-                // engine-global state: serial path only.
-                let node = node.filter(|_| !adversary.controls(id));
-                work.push(CollectWork { id, frames, node });
-            }
-        }
-
-        let outcomes = exec.map_mut(&mut work, |_, w| process_collect_inbox(w, &ops));
-
-        // Drop the node borrows; only ids + raw frames travel onward.
-        let merged: Vec<(NodeId, Vec<Delivered>, CollectOutcome)> = work
-            .into_iter()
-            .zip(outcomes)
-            .map(|(w, outcome)| (w.id, w.frames, outcome))
-            .collect();
-
-        for (receiver, frames, outcome) in merged {
-            match outcome {
-                CollectOutcome::Batched(effects) => {
-                    for effect in effects {
-                        match effect {
-                            CollectEffect::Send {
-                                peer,
-                                payload,
-                                kind,
-                                cause,
-                            } => {
-                                self.sim.unicast_meta(
-                                    receiver,
-                                    peer,
-                                    payload,
-                                    TxMeta::reply(kind, cause),
-                                );
-                            }
-                            CollectEffect::AckSettle { nonce } => {
-                                if self.outstanding.remove(&nonce).is_some() {
-                                    self.report.acks_received += 1;
-                                } else {
-                                    self.report.duplicates_ignored += 1;
-                                }
-                            }
-                            CollectEffect::RecordOrigin { origin, cause } => {
-                                self.record_origin
-                                    .entry((receiver, origin))
-                                    .or_insert(cause);
-                            }
-                            CollectEffect::Collected {
-                                origin,
-                                authenticated,
-                            } => {
-                                if self.recorder.enabled() {
-                                    self.recorder.record(Event::RecordCollected {
-                                        node: receiver,
-                                        from: origin,
-                                        authenticated,
-                                    });
-                                }
-                            }
-                            CollectEffect::RejectedRecord => self.report.rejected_records += 1,
-                            CollectEffect::Commitment {
-                                from,
-                                ok,
-                                emit_event,
-                            } => {
-                                if !ok {
-                                    self.report.rejected_commitments += 1;
-                                }
-                                if emit_event && self.recorder.enabled() {
-                                    self.recorder.record(Event::CommitmentChecked {
-                                        node: receiver,
-                                        from,
-                                        ok,
-                                    });
-                                }
-                            }
-                            CollectEffect::Evidence { from } => {
-                                if self.recorder.enabled() {
-                                    self.recorder.record(Event::EvidenceBuffered {
-                                        node: receiver,
-                                        from,
-                                    });
-                                }
-                            }
-                            CollectEffect::DuplicateIgnored => self.report.duplicates_ignored += 1,
-                            CollectEffect::Malformed => self.report.malformed_frames += 1,
-                        }
-                    }
+    /// Applies one receiver's [`Reaction`] to the engine, effect by
+    /// effect, in frame order.
+    fn replay(&mut self, receiver: NodeId, reaction: Reaction) {
+        let mut payloads = reaction.payloads.into_iter();
+        let mut captured = reaction.captured.into_iter();
+        for effect in reaction.effects {
+            match effect {
+                Effect::Send { peer, cause } => {
+                    let (payload, kind) = payloads.next().expect("one payload per send");
+                    self.sim
+                        .unicast_meta(receiver, peer, payload, TxMeta::reply(kind, cause));
                 }
-                CollectOutcome::Deferred => {
-                    for frame in frames {
-                        self.dispatch(receiver, frame);
-                    }
-                }
-            }
-        }
-    }
-
-    fn dispatch(&mut self, receiver: NodeId, frame: Delivered) {
-        let Ok(msg) = Message::decode(&frame.payload) else {
-            self.report.malformed_frames += 1;
-            return;
-        };
-        // The delivered frame's ledger id: everything this dispatch sends
-        // in response cites it as causal parent.
-        let cause = frame.msg_id;
-        // Direct verification: a tentative relation may only be asserted
-        // over a frame whose measured path length fits in the radio range
-        // AND whose claimed sender is the radio-layer transmitter — u
-        // verifies that *v itself* sent the Hello, so a corrupted frame
-        // claiming a mangled identity cannot plant a phantom tentative
-        // neighbor. Wormhole-relayed Hellos/acks fail the distance check;
-        // replica frames pass both (the replica radio genuinely is nearby
-        // and transmits under the captured identity).
-        let claims_sender_honestly = match &msg {
-            Message::Hello { from } | Message::HelloAck { from } => *from == frame.from,
-            _ => true,
-        };
-        let direct_ok = !self.direct_verification
-            || (frame.distance <= self.radio.max_range() * (1.0 + 1e-9) && claims_sender_honestly);
-        // The reliability envelope is transport framing, shared by benign
-        // and compromised receivers alike: ack the nonce (an attacker that
-        // refused would only draw retransmissions, never gain anything),
-        // then process the payload. Re-delivered envelopes are re-acked —
-        // a lost ack must provoke a fresh one — and the inner message is
-        // handled idempotently below. Decode depth is bounded: nested
-        // envelopes are rejected at the wire layer.
-        let msg = match msg {
-            Message::Reliable { nonce, inner } => {
-                let ack = self.pool.build(|b| {
-                    Message::Ack {
-                        from: receiver,
-                        nonce,
-                    }
-                    .encode_into(b)
-                });
-                self.sim
-                    .unicast_meta(receiver, frame.from, ack, TxMeta::reply("ack", cause));
-                *inner
-            }
-            Message::Ack { nonce, .. } => {
-                if self.outstanding.remove(&nonce).is_some() {
-                    self.report.acks_received += 1;
-                } else {
-                    // Duplicate ack for a frame already confirmed.
-                    self.report.duplicates_ignored += 1;
-                }
-                return;
-            }
-            other => other,
-        };
-        if self.adversary.controls(receiver) {
-            self.dispatch_compromised(receiver, msg, cause);
-        } else {
-            self.dispatch_benign(receiver, msg, direct_ok, cause);
-        }
-    }
-
-    /// Honest protocol handling. `cause` is the delivered frame's ledger
-    /// msg id; replies cite it as their causal parent.
-    fn dispatch_benign(&mut self, receiver: NodeId, msg: Message, direct_ok: bool, cause: u64) {
-        match msg {
-            Message::Hello { from } => {
-                if !direct_ok {
-                    return; // direct verification rejects the relation
-                }
-                let Some(node) = node_mut!(self, receiver) else {
-                    return;
-                };
-                match node.state() {
-                    NodeState::Discovering => {
-                        // Another wave member: record it and ack. Hello
-                        // re-rounds re-assert known relations; only a
-                        // genuinely new tentative neighbor is an event.
-                        let fresh = from != receiver && !node.tentative_neighbors().contains(&from);
-                        if node.add_tentative(from).is_ok() {
-                            self.hello_origin.entry((receiver, from)).or_insert(cause);
-                            if fresh && self.recorder.enabled() {
-                                self.recorder.record(Event::TentativeAdded {
-                                    node: receiver,
-                                    peer: from,
-                                });
-                            }
-                        }
-                    }
-                    NodeState::Operational => {
-                        // An old node notes a reachable new node as its
-                        // potential record updater.
-                        self.wave_contacts.entry(receiver).or_insert(from);
-                        self.hello_origin.entry((receiver, from)).or_insert(cause);
-                    }
-                    _ => {}
-                }
-                let payload = self
-                    .pool
-                    .build(|b| Message::HelloAck { from: receiver }.encode_into(b));
-                self.sim
-                    .unicast_meta(receiver, from, payload, TxMeta::reply("hello_ack", cause));
-            }
-            Message::HelloAck { from } => {
-                if !direct_ok {
-                    return; // direct verification rejects the relation
-                }
-                if let Some(node) = node_mut!(self, receiver) {
-                    let fresh = from != receiver && !node.tentative_neighbors().contains(&from);
-                    if node.add_tentative(from).is_ok() {
-                        self.hello_origin.entry((receiver, from)).or_insert(cause);
-                        if fresh && self.recorder.enabled() {
-                            self.recorder.record(Event::TentativeAdded {
-                                node: receiver,
-                                peer: from,
-                            });
-                        }
-                    }
-                }
-            }
-            Message::RecordRequest { from } => {
-                if let Some(node) = node_ref!(self, receiver) {
-                    let record = node.record().clone();
+                Effect::HelloAck { peer, cause } => {
                     let payload = self
                         .pool
-                        .build(|b| Message::RecordReply { record }.encode_into(b));
+                        .build(|b| Message::HelloAck { from: receiver }.encode_into(b));
                     self.sim.unicast_meta(
                         receiver,
-                        from,
+                        peer,
                         payload,
-                        TxMeta::reply("record_reply", cause),
+                        TxMeta::reply("hello_ack", cause),
                     );
                 }
-            }
-            Message::RecordReply { record } => {
-                if let Some(node) = node_mut!(self, receiver) {
-                    // A record that already authenticated must not be
-                    // re-verified (wasted hashes) or double-counted toward
-                    // the ≥ t+1 overlap: the collected map is keyed by
-                    // origin, so re-delivery is recognized and dropped.
-                    let origin = record.node;
-                    if node.has_collected(origin) {
-                        self.report.duplicates_ignored += 1;
+                Effect::AckSettle { nonce } => {
+                    if self.outstanding.remove(&nonce).is_some() {
+                        self.report.acks_received += 1;
                     } else {
-                        let authenticated = node.accept_record(record, &self.ops).is_ok();
-                        if authenticated {
-                            self.record_origin
-                                .entry((receiver, origin))
-                                .or_insert(cause);
-                        } else {
-                            self.report.rejected_records += 1;
-                        }
-                        if self.recorder.enabled() {
-                            self.recorder.record(Event::RecordCollected {
-                                node: receiver,
-                                from: origin,
-                                authenticated,
-                            });
-                        }
+                        // Duplicate ack for a frame already confirmed.
+                        self.report.duplicates_ignored += 1;
                     }
                 }
-            }
-            Message::RelationCommit { from, to, digest } => {
-                if to != receiver {
-                    self.report.malformed_frames += 1;
-                    return;
+                Effect::Tentative { peer, cause, fresh } => {
+                    self.hello_origin.entry((receiver, peer)).or_insert(cause);
+                    if fresh {
+                        self.emit(|| Event::TentativeAdded {
+                            node: receiver,
+                            peer,
+                        });
+                    }
                 }
-                if let Some(node) = node_mut!(self, receiver) {
-                    // ARQ re-delivers commitments; a re-verified success is
-                    // not a fresh forensic event, but every failure is.
-                    let already = node.functional_neighbors().contains(&from);
-                    let ok = node
-                        .accept_relation_commitment(from, &digest, &self.ops)
-                        .is_ok();
+                Effect::Contact { peer, cause } => {
+                    self.wave_contacts.entry(receiver).or_insert(peer);
+                    self.hello_origin.entry((receiver, peer)).or_insert(cause);
+                }
+                Effect::Collected {
+                    origin,
+                    cause,
+                    authenticated,
+                } => {
+                    if authenticated {
+                        self.record_origin
+                            .entry((receiver, origin))
+                            .or_insert(cause);
+                    } else {
+                        self.report.rejected_records += 1;
+                    }
+                    self.emit(|| Event::RecordCollected {
+                        node: receiver,
+                        from: origin,
+                        authenticated,
+                    });
+                }
+                Effect::Commitment {
+                    from,
+                    ok,
+                    emit_event,
+                } => {
                     if !ok {
                         self.report.rejected_commitments += 1;
                     }
-                    if self.recorder.enabled() && !(ok && already) {
-                        self.recorder.record(Event::CommitmentChecked {
+                    if emit_event {
+                        self.emit(|| Event::CommitmentChecked {
                             node: receiver,
                             from,
                             ok,
                         });
                     }
                 }
-            }
-            Message::Evidence { evidence } => {
-                let issuer = evidence.from;
-                if let Some(node) = node_mut!(self, receiver) {
-                    match node.buffer_evidence(evidence) {
-                        Ok(true) => {
-                            if self.recorder.enabled() {
-                                self.recorder.record(Event::EvidenceBuffered {
-                                    node: receiver,
-                                    from: issuer,
-                                });
-                            }
-                        }
-                        // Same token already buffered: a retransmission,
-                        // not new ammunition.
-                        Ok(false) => self.report.duplicates_ignored += 1,
-                        Err(_) => {}
+                Effect::Evidence { from } => self.emit(|| Event::EvidenceBuffered {
+                    node: receiver,
+                    from,
+                }),
+                Effect::UpdateServed { requester } => {
+                    // Re-minting the same request is deterministic, so
+                    // serving a retransmission is idempotent — but it must
+                    // not double-count as a distinct update.
+                    if self.served_updates.insert((receiver, requester)) {
+                        self.report.updates_applied += 1;
+                    } else {
+                        self.report.duplicates_ignored += 1;
                     }
                 }
-            }
-            Message::UpdateRequest { record, evidences } => {
-                // Only a node still holding K can serve updates.
-                let requester = record.node;
-                let Some(node) = node_ref!(self, receiver) else {
-                    return;
-                };
-                match node.process_update_request(&record, &evidences, &self.ops) {
-                    Ok(refreshed) => {
-                        // Re-minting the same request is deterministic, so
-                        // serving a retransmission is idempotent — but it
-                        // must not double-count as a distinct update.
-                        if self.served_updates.insert((receiver, requester)) {
-                            self.report.updates_applied += 1;
-                        } else {
-                            self.report.duplicates_ignored += 1;
-                        }
-                        self.sim.unicast_meta(
-                            receiver,
-                            requester,
-                            Message::UpdateReply { record: refreshed }.encode(),
-                            TxMeta::reply("update_reply", cause),
-                        );
-                    }
-                    Err(_) => self.report.updates_rejected += 1,
+                Effect::UpdateRejected => self.report.updates_rejected += 1,
+                Effect::DuplicateIgnored => self.report.duplicates_ignored += 1,
+                Effect::Malformed => self.report.malformed_frames += 1,
+                Effect::Adversary { cause } => {
+                    let msg = captured.next().expect("one message per adversary effect");
+                    self.dispatch_compromised(receiver, msg, cause);
                 }
             }
-            Message::UpdateReply { record } => {
-                if let Some(node) = node_mut!(self, receiver) {
-                    let _ = node.install_updated_record(record);
-                }
-            }
-            // Transport framing is consumed in `dispatch` before the
-            // benign/compromised split; nothing reaches here.
-            Message::Ack { .. } | Message::Reliable { .. } => {}
         }
     }
 
-    /// Attacker-controlled handling for compromised nodes. The ledger
-    /// traces attacker traffic like any other — `cause` chains survive
-    /// compromise, which is exactly what forensics wants.
+    /// Attacker-controlled handling for compromised nodes and Sybil
+    /// identities, run by [`DiscoveryEngine::replay`] at the frame's merge
+    /// position (it reads engine-global state, so it never runs in a
+    /// worker). The ledger traces attacker traffic like any other —
+    /// `cause` chains survive compromise, which is exactly what forensics
+    /// wants.
     fn dispatch_compromised(&mut self, receiver: NodeId, msg: Message, cause: u64) {
         let behavior = self.adversary.behavior();
         match msg {
@@ -1508,7 +1107,7 @@ impl DiscoveryEngine {
             }
             // Compromised nodes never serve honest updates or care about
             // acks/record replies (they do not run discovery again).
-            // Transport framing never reaches here (consumed in dispatch).
+            // Transport framing never reaches here (consumed in `step`).
             Message::HelloAck { .. }
             | Message::RecordReply { .. }
             | Message::UpdateRequest { .. }
@@ -1671,181 +1270,66 @@ impl DiscoveryEngine {
     }
 }
 
-/// One node's share of a batched hello delivery step: its drained inbox
-/// plus exclusive mutable access to its protocol state. `node` is `None`
-/// when the receiver must take the serial path (compromised, or unknown
-/// to the engine).
-struct HelloWork<'a> {
+/// One receiver's share of a delivery step: its drained inbox and who
+/// reacts to it.
+struct Inbox<'a> {
     id: NodeId,
     frames: Vec<Delivered>,
-    node: Option<&'a mut ProtocolNode>,
+    role: Role<'a>,
 }
 
-/// What a hello worker decided for one node's inbox.
-enum HelloOutcome {
-    /// Every frame was pure hello traffic; node-local state is already
-    /// updated and these global effects remain, in frame order.
-    Batched(Vec<HelloEffect>),
-    /// Something in the inbox needs engine-global handling (a cross-phase
-    /// straggler, a compromised receiver, an unknown node): replay the
-    /// whole inbox through the serial dispatch at this merge position.
-    Deferred,
+/// Who reacts to a receiver's frames.
+enum Role<'a> {
+    /// An honest receiver with exclusive access to its protocol state
+    /// (`None` when the id has none).
+    Benign(Option<&'a mut ProtocolNode>),
+    /// An attacker-controlled id — a compromised node (and its replica
+    /// radios) or a Sybil identity. Its transport framing runs in the
+    /// step like anyone's; each inner message reaches
+    /// `DiscoveryEngine::dispatch_compromised` at its replay position.
+    Adversary,
 }
 
-/// A global side effect of hello handling, extracted so the parallel
-/// phase stays node-local. Applied serially in (receiver ascending,
-/// frame order) — the exact order the serial dispatch produces them in,
-/// which keeps ledger msg ids and the fault-plan RNG stream identical.
-enum HelloEffect {
-    /// `hello_origin.entry((receiver, peer)).or_insert(cause)`.
-    Origin { peer: NodeId, cause: u64 },
-    /// A genuinely new tentative neighbor: `Event::TentativeAdded`.
-    Tentative { peer: NodeId },
-    /// `wave_contacts.entry(receiver).or_insert(peer)` (Operational
-    /// receiver noting a reachable wave member).
-    Contact { peer: NodeId },
-    /// Send `HelloAck` to `peer`, citing the Hello's ledger id.
-    Ack { peer: NodeId, cause: u64 },
-    /// Undecodable frame: bump `report.malformed_frames`.
-    Malformed,
-}
-
-/// The node-local half of hello dispatch, byte-equivalent to
-/// [`DiscoveryEngine::dispatch`] + `dispatch_benign` restricted to
-/// `Hello`/`HelloAck`. Mutates only `work.node`; every engine-global
-/// consequence comes back as an ordered [`HelloEffect`] list.
-fn process_hello_inbox(
-    work: &mut HelloWork<'_>,
+/// What every receiver's step reads besides its own node.
+struct StepContext<'a> {
     direct_verification: bool,
     max_range: f64,
-) -> HelloOutcome {
-    let Some(node) = work.node.as_deref_mut() else {
-        return HelloOutcome::Deferred;
-    };
-    let receiver = work.id;
-    // Classification pass: the batch fast path only covers pure hello
-    // traffic. Anything else (reliability envelopes, record exchange
-    // stragglers under reordering faults) defers the whole inbox so the
-    // serial path sees it in its original position.
-    let decoded: Vec<Result<Message, _>> = work
-        .frames
-        .iter()
-        .map(|frame| Message::decode(&frame.payload))
-        .collect();
-    let pure_hello = decoded.iter().all(|msg| {
-        matches!(
-            msg,
-            Ok(Message::Hello { .. }) | Ok(Message::HelloAck { .. }) | Err(_)
-        )
-    });
-    if !pure_hello {
-        return HelloOutcome::Deferred;
-    }
-    let mut effects = Vec::with_capacity(work.frames.len() * 2);
-    for (frame, msg) in work.frames.iter().zip(decoded) {
-        match msg {
-            Err(_) => effects.push(HelloEffect::Malformed),
-            Ok(Message::Hello { from }) => {
-                let direct_ok = !direct_verification
-                    || (frame.distance <= max_range * (1.0 + 1e-9) && from == frame.from);
-                if !direct_ok {
-                    continue; // direct verification rejects the relation
-                }
-                match node.state() {
-                    NodeState::Discovering => {
-                        let fresh = from != receiver && !node.tentative_neighbors().contains(&from);
-                        if node.add_tentative(from).is_ok() {
-                            effects.push(HelloEffect::Origin {
-                                peer: from,
-                                cause: frame.msg_id,
-                            });
-                            if fresh {
-                                effects.push(HelloEffect::Tentative { peer: from });
-                            }
-                        }
-                    }
-                    NodeState::Operational => {
-                        effects.push(HelloEffect::Contact { peer: from });
-                        effects.push(HelloEffect::Origin {
-                            peer: from,
-                            cause: frame.msg_id,
-                        });
-                    }
-                    _ => {}
-                }
-                effects.push(HelloEffect::Ack {
-                    peer: from,
-                    cause: frame.msg_id,
-                });
-            }
-            Ok(Message::HelloAck { from }) => {
-                let direct_ok = !direct_verification
-                    || (frame.distance <= max_range * (1.0 + 1e-9) && from == frame.from);
-                if !direct_ok {
-                    continue; // direct verification rejects the relation
-                }
-                let fresh = from != receiver && !node.tentative_neighbors().contains(&from);
-                if node.add_tentative(from).is_ok() {
-                    effects.push(HelloEffect::Origin {
-                        peer: from,
-                        cause: frame.msg_id,
-                    });
-                    if fresh {
-                        effects.push(HelloEffect::Tentative { peer: from });
-                    }
-                }
-            }
-            Ok(_) => unreachable!("classification pass admits only hello traffic"),
-        }
-    }
-    HelloOutcome::Batched(effects)
+    ops: &'a HashCounter,
 }
 
-/// One node's share of a batched collect/finalize delivery step: its
-/// drained inbox plus exclusive mutable access to its protocol state.
-/// `node` is `None` when the receiver must take the serial path
-/// (compromised, or unknown to the engine).
-struct CollectWork<'a> {
-    id: NodeId,
-    frames: Vec<Delivered>,
-    node: Option<&'a mut ProtocolNode>,
-}
-
-/// What a collect/finalize worker decided for one node's inbox.
-enum CollectOutcome {
-    /// Every frame was pure collect/finalize traffic; node-local state is
-    /// already updated and these global effects remain, in frame order.
-    Batched(Vec<CollectEffect>),
-    /// Something in the inbox needs engine-global handling: replay the
-    /// whole inbox through the serial dispatch at this merge position.
-    Deferred,
-}
-
-/// A global side effect of collect/finalize handling, extracted so the
-/// parallel stage stays node-local. Applied serially in (receiver
-/// ascending, frame order) — the exact order the serial dispatch produces
-/// them in, which keeps ledger msg ids, the fault-plan RNG stream, ARQ
-/// `outstanding` state and the recorder event stream identical.
-enum CollectEffect {
-    /// `unicast_meta(receiver, peer, payload, TxMeta::reply(kind, cause))`
-    /// — a `RecordReply` answering a request, or the transport `Ack` a
-    /// `Reliable` envelope provokes (sent *before* its inner message is
-    /// processed, mirroring the serial dispatcher).
-    Send {
-        peer: NodeId,
-        payload: Envelope,
-        kind: &'static str,
-        cause: u64,
-    },
+/// An engine-global consequence of one frame, replayed in (receiver
+/// ascending, frame order) by [`DiscoveryEngine::replay`]. Payloads live
+/// in the [`Reaction`]'s side vectors, consumed in order, so an effect
+/// stays three words even though a wave replays millions of them.
+enum Effect {
+    /// Send the next [`Reaction::payloads`] entry to `peer`, citing the
+    /// delivered frame `cause`: a transport `Ack` (queued *before* its
+    /// envelope's inner message is handled), a `RecordReply` or an
+    /// `UpdateReply`.
+    Send { peer: NodeId, cause: u64 },
+    /// Send `HelloAck` to `peer`, encoded at replay from the ids.
+    HelloAck { peer: NodeId, cause: u64 },
     /// `outstanding.remove(nonce)`: `acks_received` on a hit,
     /// `duplicates_ignored` on a re-delivered ack.
     AckSettle { nonce: u64 },
-    /// `record_origin.entry((receiver, origin)).or_insert(cause)`.
-    RecordOrigin { origin: NodeId, cause: u64 },
-    /// `Event::RecordCollected` (recorder permitting).
-    Collected { origin: NodeId, authenticated: bool },
-    /// A record that failed authentication: `report.rejected_records`.
-    RejectedRecord,
+    /// A tentative relation asserted: `hello_origin`, plus
+    /// `Event::TentativeAdded` when `peer` is genuinely new (Hello
+    /// re-rounds re-assert known relations).
+    Tentative {
+        peer: NodeId,
+        cause: u64,
+        fresh: bool,
+    },
+    /// An operational receiver noting a reachable wave member as its
+    /// potential record updater: `wave_contacts` and `hello_origin`.
+    Contact { peer: NodeId, cause: u64 },
+    /// A first-time record: `record_origin` if it authenticated,
+    /// `rejected_records` if not, and `Event::RecordCollected`.
+    Collected {
+        origin: NodeId,
+        cause: u64,
+        authenticated: bool,
+    },
     /// A verified/rejected relation commitment: `rejected_commitments`
     /// on failure, `Event::CommitmentChecked` unless it is an ARQ
     /// re-verification of an already-functional edge.
@@ -1856,11 +1340,41 @@ enum CollectEffect {
     },
     /// Fresh evidence buffered: `Event::EvidenceBuffered`.
     Evidence { from: NodeId },
-    /// Idempotently discarded re-delivery: `report.duplicates_ignored`.
+    /// An update request served: `updates_applied`, or
+    /// `duplicates_ignored` for a retransmitted request.
+    UpdateServed { requester: NodeId },
+    /// An update request refused (cap, forgery, version).
+    UpdateRejected,
+    /// Idempotently discarded re-delivery.
     DuplicateIgnored,
-    /// Undecodable frame (or misaddressed commitment):
-    /// `report.malformed_frames`.
+    /// Undecodable frame or misaddressed commitment.
     Malformed,
+    /// Hand the next [`Reaction::captured`] message to the attacker.
+    Adversary { cause: u64 },
+}
+
+// The replay traffic at n = 20 000 is ~1 M effects per hello pump; keep
+// every variant within three words.
+const _: () = assert!(std::mem::size_of::<Effect>() <= 24);
+
+/// Everything one receiver's step hands back to the engine.
+#[derive(Default)]
+struct Reaction {
+    /// Global effects, in frame order.
+    effects: Vec<Effect>,
+    /// Encoded payloads and ledger kinds of the `Send` effects, in order.
+    payloads: Vec<(Envelope, &'static str)>,
+    /// Inner messages of the `Adversary` effects, in order.
+    captured: Vec<Message>,
+}
+
+impl Reaction {
+    /// Queues `msg` for `peer` as an [`Effect::Send`].
+    fn send(&mut self, peer: NodeId, cause: u64, msg: &Message, scratch: &mut Vec<u8>) {
+        self.payloads
+            .push((encode_scratch(msg, scratch), msg.kind()));
+        self.effects.push(Effect::Send { peer, cause });
+    }
 }
 
 /// Serializes `msg` into worker-local scratch and freezes it, reusing
@@ -1876,125 +1390,187 @@ fn encode_scratch(msg: &Message, scratch: &mut Vec<u8>) -> Envelope {
     }
 }
 
-/// The node-local half of collect/finalize dispatch, byte-equivalent to
-/// [`DiscoveryEngine::dispatch`] + `dispatch_benign` restricted to
-/// `RecordRequest`/`RecordReply`/`Ack`/`Reliable(RelationCommit |
-/// Evidence)`. Mutates only `work.node`; every engine-global consequence
-/// comes back as an ordered [`CollectEffect`] list. The classification
-/// pass decodes *every* frame before the first mutation, so a deferred
-/// inbox reaches the serial path with its node state untouched.
-fn process_collect_inbox(work: &mut CollectWork<'_>, ops: &HashCounter) -> CollectOutcome {
-    let Some(node) = work.node.as_deref_mut() else {
-        return CollectOutcome::Deferred;
-    };
-    let receiver = work.id;
-    let decoded: Vec<Result<Message, _>> = work
-        .frames
-        .iter()
-        .map(|frame| Message::decode(&frame.payload))
-        .collect();
-    let batchable = decoded.iter().all(|msg| match msg {
-        Ok(Message::RecordRequest { .. })
-        | Ok(Message::RecordReply { .. })
-        | Ok(Message::Ack { .. })
-        | Err(_) => true,
-        Ok(Message::Reliable { inner, .. }) => matches!(
-            &**inner,
-            Message::RelationCommit { .. } | Message::Evidence { .. }
-        ),
-        _ => false,
-    });
-    if !batchable {
-        return CollectOutcome::Deferred;
+/// Asserts a tentative relation to `from` after a verified Hello/HelloAck.
+fn assert_tentative(
+    node: &mut ProtocolNode,
+    receiver: NodeId,
+    from: NodeId,
+    cause: u64,
+    effects: &mut Vec<Effect>,
+) {
+    let fresh = from != receiver && !node.tentative_neighbors().contains(&from);
+    if node.add_tentative(from).is_ok() {
+        effects.push(Effect::Tentative {
+            peer: from,
+            cause,
+            fresh,
+        });
     }
-    let mut effects = Vec::with_capacity(work.frames.len() * 2);
+}
+
+/// The protocol's per-node reaction to one delivery step: decodes every
+/// frame, runs the transport framing, and for an honest receiver the
+/// protocol logic of every message kind. Mutates only the receiver's own
+/// node; everything else comes back as a [`Reaction`] in frame order.
+/// Each frame's ledger id is the causal parent of whatever it provokes.
+fn step(
+    receiver: NodeId,
+    role: &mut Role<'_>,
+    frames: &[Delivered],
+    ctx: &StepContext<'_>,
+) -> Reaction {
+    let mut out = Reaction {
+        effects: Vec::with_capacity(frames.len() * 2),
+        ..Reaction::default()
+    };
     let mut scratch = Vec::new();
-    for (frame, msg) in work.frames.iter().zip(decoded) {
+    for frame in frames {
+        let Ok(msg) = Message::decode(&frame.payload) else {
+            out.effects.push(Effect::Malformed);
+            continue;
+        };
         let cause = frame.msg_id;
-        // Transport framing first, exactly as the serial dispatcher: a
-        // reliability envelope is acked before its payload is processed,
-        // and a (re-)delivered ack settles `outstanding` and stops.
+        // Direct verification: a tentative relation may only be asserted
+        // over a frame whose measured path length fits in the radio range
+        // AND whose claimed sender is the radio-layer transmitter — u
+        // verifies that *v itself* sent the Hello, so a corrupted frame
+        // claiming a mangled identity cannot plant a phantom tentative
+        // neighbor. Wormhole-relayed Hellos/acks fail the distance check;
+        // replica frames pass both (the replica radio genuinely is nearby
+        // and transmits under the captured identity).
+        let claims_sender_honestly = match &msg {
+            Message::Hello { from } | Message::HelloAck { from } => *from == frame.from,
+            _ => true,
+        };
+        let direct_ok = !ctx.direct_verification
+            || (frame.distance <= ctx.max_range * (1.0 + 1e-9) && claims_sender_honestly);
+        // The reliability envelope is transport framing, shared by benign
+        // and compromised receivers alike: ack the nonce (an attacker that
+        // refused would only draw retransmissions, never gain anything),
+        // then process the payload. Re-delivered envelopes are re-acked —
+        // a lost ack must provoke a fresh one — and the inner message is
+        // handled idempotently below. Decode depth is bounded: nested
+        // envelopes are rejected at the wire layer.
         let msg = match msg {
-            Err(_) => {
-                effects.push(CollectEffect::Malformed);
-                continue;
-            }
-            Ok(Message::Ack { nonce, .. }) => {
-                effects.push(CollectEffect::AckSettle { nonce });
-                continue;
-            }
-            Ok(Message::Reliable { nonce, inner }) => {
-                effects.push(CollectEffect::Send {
-                    peer: frame.from,
-                    payload: encode_scratch(
-                        &Message::Ack {
-                            from: receiver,
-                            nonce,
-                        },
-                        &mut scratch,
-                    ),
-                    kind: "ack",
-                    cause,
-                });
+            Message::Reliable { nonce, inner } => {
+                let ack = Message::Ack {
+                    from: receiver,
+                    nonce,
+                };
+                out.send(frame.from, cause, &ack, &mut scratch);
                 *inner
             }
-            Ok(other) => other,
+            Message::Ack { nonce, .. } => {
+                out.effects.push(Effect::AckSettle { nonce });
+                continue;
+            }
+            other => other,
+        };
+        let node = match role {
+            Role::Adversary => {
+                out.captured.push(msg);
+                out.effects.push(Effect::Adversary { cause });
+                continue;
+            }
+            Role::Benign(node) => node.as_deref_mut(),
+        };
+        if let Message::RelationCommit { to, .. } = &msg {
+            if *to != receiver {
+                out.effects.push(Effect::Malformed);
+                continue;
+            }
+        }
+        let Some(node) = node else {
+            continue;
         };
         match msg {
+            // Direct verification rejects the relation.
+            Message::Hello { .. } | Message::HelloAck { .. } if !direct_ok => {}
+            Message::Hello { from } => {
+                match node.state() {
+                    // Another wave member: record it and ack.
+                    NodeState::Discovering => {
+                        assert_tentative(node, receiver, from, cause, &mut out.effects);
+                    }
+                    // An old node notes a reachable new node as its
+                    // potential record updater.
+                    NodeState::Operational => {
+                        out.effects.push(Effect::Contact { peer: from, cause })
+                    }
+                    _ => {}
+                }
+                out.effects.push(Effect::HelloAck { peer: from, cause });
+            }
+            Message::HelloAck { from } => {
+                assert_tentative(node, receiver, from, cause, &mut out.effects);
+            }
             Message::RecordRequest { from } => {
-                let record = node.record().clone();
-                effects.push(CollectEffect::Send {
-                    peer: from,
-                    payload: encode_scratch(&Message::RecordReply { record }, &mut scratch),
-                    kind: "record_reply",
-                    cause,
-                });
+                let reply = Message::RecordReply {
+                    record: node.record().clone(),
+                };
+                out.send(from, cause, &reply, &mut scratch);
             }
             Message::RecordReply { record } => {
+                // A record that already authenticated must not be
+                // re-verified (wasted hashes) or double-counted toward the
+                // ≥ t+1 overlap: the collected map is keyed by origin, so
+                // re-delivery is recognized and dropped.
                 let origin = record.node;
                 if node.has_collected(origin) {
-                    effects.push(CollectEffect::DuplicateIgnored);
+                    out.effects.push(Effect::DuplicateIgnored);
                 } else {
-                    let authenticated = node.accept_record(record, ops).is_ok();
-                    if authenticated {
-                        effects.push(CollectEffect::RecordOrigin { origin, cause });
-                    } else {
-                        effects.push(CollectEffect::RejectedRecord);
-                    }
-                    effects.push(CollectEffect::Collected {
+                    let authenticated = node.accept_record(record, ctx.ops).is_ok();
+                    out.effects.push(Effect::Collected {
                         origin,
+                        cause,
                         authenticated,
                     });
                 }
             }
-            Message::RelationCommit { from, to, digest } => {
-                if to != receiver {
-                    effects.push(CollectEffect::Malformed);
-                } else {
-                    // ARQ re-delivers commitments; a re-verified success
-                    // is not a fresh forensic event, but every failure is.
-                    let already = node.functional_neighbors().contains(&from);
-                    let ok = node.accept_relation_commitment(from, &digest, ops).is_ok();
-                    effects.push(CollectEffect::Commitment {
-                        from,
-                        ok,
-                        emit_event: !(ok && already),
-                    });
-                }
+            Message::RelationCommit { from, digest, .. } => {
+                // ARQ re-delivers commitments; a re-verified success is
+                // not a fresh forensic event, but every failure is.
+                let already = node.functional_neighbors().contains(&from);
+                let ok = node
+                    .accept_relation_commitment(from, &digest, ctx.ops)
+                    .is_ok();
+                out.effects.push(Effect::Commitment {
+                    from,
+                    ok,
+                    emit_event: !(ok && already),
+                });
             }
             Message::Evidence { evidence } => {
                 let issuer = evidence.from;
                 match node.buffer_evidence(evidence) {
-                    Ok(true) => effects.push(CollectEffect::Evidence { from: issuer }),
-                    // Same token already buffered: a retransmission.
-                    Ok(false) => effects.push(CollectEffect::DuplicateIgnored),
+                    Ok(true) => out.effects.push(Effect::Evidence { from: issuer }),
+                    // Same token already buffered: a retransmission, not
+                    // new ammunition.
+                    Ok(false) => out.effects.push(Effect::DuplicateIgnored),
                     Err(_) => {}
                 }
             }
-            _ => unreachable!("classification pass admits only collect/finalize traffic"),
+            Message::UpdateRequest { record, evidences } => {
+                // Only a node still holding K can serve updates.
+                match node.process_update_request(&record, &evidences, ctx.ops) {
+                    Ok(refreshed) => {
+                        out.effects.push(Effect::UpdateServed {
+                            requester: record.node,
+                        });
+                        let reply = Message::UpdateReply { record: refreshed };
+                        out.send(record.node, cause, &reply, &mut scratch);
+                    }
+                    Err(_) => out.effects.push(Effect::UpdateRejected),
+                }
+            }
+            Message::UpdateReply { record } => {
+                let _ = node.install_updated_record(record);
+            }
+            // Nested framing is rejected at decode; nothing reaches here.
+            Message::Ack { .. } | Message::Reliable { .. } => {}
         }
     }
-    CollectOutcome::Batched(effects)
+    out
 }
 
 #[cfg(test)]

@@ -27,8 +27,8 @@ pub struct ReliabilityConfig {
     /// attempt (budget 9 ⇒ up to 10 attempts).
     pub retry_budget: u32,
     /// Hello broadcast rounds per node in the hello phase (cut short by
-    /// `phase_timeout`). Each round is two batched inbox pumps
-    /// (`engine::pump_hello`, DESIGN.md §14): one delivering the Hellos,
+    /// `phase_timeout`). Each round is two delivery pumps
+    /// (`engine::pump`, DESIGN.md §14): one delivering the Hellos,
     /// one delivering the HelloAcks they triggered. Rounds past the first
     /// count as retransmissions; `add_tentative` is idempotent, so replay
     /// only fills in what loss dropped.

@@ -1147,7 +1147,7 @@ impl Simulator {
     /// [`Simulator::drain_inbox`] for each live id in order — dead nodes'
     /// leftover frames stay queued, exactly as a per-id loop over
     /// [`Simulator::node_ids`] would leave them. This is the bulk intake
-    /// of the engine's batched hello phase.
+    /// of the engine's delivery pump.
     pub fn drain_all_inboxes(&mut self) -> Vec<(NodeId, Vec<Delivered>)> {
         let mut dirty = std::mem::take(&mut self.dirty_inboxes);
         dirty.sort_unstable();
