@@ -886,7 +886,7 @@ mod tests {
         ] {
             let spec = CampaignSpec {
                 environments: vec![env],
-                ..tiny(attacker.clone(), DefenseSpec::PaperRule)
+                ..tiny(attacker, DefenseSpec::PaperRule)
             };
             let rows = run_campaign(&spec, &Executor::serial());
             let o = &rows[0].outcome;

@@ -1430,20 +1430,6 @@ fn step(
             continue;
         };
         let cause = frame.msg_id;
-        // Direct verification: a tentative relation may only be asserted
-        // over a frame whose measured path length fits in the radio range
-        // AND whose claimed sender is the radio-layer transmitter — u
-        // verifies that *v itself* sent the Hello, so a corrupted frame
-        // claiming a mangled identity cannot plant a phantom tentative
-        // neighbor. Wormhole-relayed Hellos/acks fail the distance check;
-        // replica frames pass both (the replica radio genuinely is nearby
-        // and transmits under the captured identity).
-        let claims_sender_honestly = match &msg {
-            Message::Hello { from } | Message::HelloAck { from } => *from == frame.from,
-            _ => true,
-        };
-        let direct_ok = !ctx.direct_verification
-            || (frame.distance <= ctx.max_range * (1.0 + 1e-9) && claims_sender_honestly);
         // The reliability envelope is transport framing, shared by benign
         // and compromised receivers alike: ack the nonce (an attacker that
         // refused would only draw retransmissions, never gain anything),
@@ -1466,6 +1452,22 @@ fn step(
             }
             other => other,
         };
+        // Direct verification: a tentative relation may only be asserted
+        // over a frame whose measured path length fits in the radio range
+        // AND whose claimed sender is the radio-layer transmitter — u
+        // verifies that *v itself* sent the Hello, so a corrupted frame
+        // claiming a mangled identity cannot plant a phantom tentative
+        // neighbor. Wormhole-relayed Hellos/acks fail the distance check;
+        // replica frames pass both (the replica radio genuinely is nearby
+        // and transmits under the captured identity). The check runs on the
+        // unwrapped message, so a `Reliable` envelope cannot smuggle a
+        // Hello past it.
+        let claims_sender_honestly = match &msg {
+            Message::Hello { from } | Message::HelloAck { from } => *from == frame.from,
+            _ => true,
+        };
+        let direct_ok = !ctx.direct_verification
+            || (frame.distance <= ctx.max_range * (1.0 + 1e-9) && claims_sender_honestly);
         let node = match role {
             Role::Adversary => {
                 out.captured.push(msg);
@@ -2139,7 +2141,7 @@ mod tests {
         // Walk a relation commitment's ancestry: it must pass through the
         // record exchange and bottom out at a root hello broadcast.
         let mut verified = 0;
-        for (_, (parent, kind)) in &sent {
+        for (parent, kind) in sent.values() {
             if *kind != "reliable.relation_commit" {
                 continue;
             }

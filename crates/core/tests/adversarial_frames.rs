@@ -249,3 +249,53 @@ proptest! {
         prop_assert_eq!(one, eight);
     }
 }
+
+/// Direct verification checks the claimed sender of the message inside a
+/// `Reliable` envelope, not the envelope: a radio that wraps a Hello
+/// claiming another identity in reliability framing must not plant that
+/// identity as a tentative neighbor (it gets its envelope acked, nothing
+/// more). The bare Hello is the control.
+#[test]
+fn enveloped_hello_cannot_claim_another_sender() {
+    const PHANTOM: NodeId = NodeId(9_999);
+    for wrapped in [false, true] {
+        let mut engine = DiscoveryEngine::new(
+            Field::square(35.0),
+            RadioSpec::uniform(50.0),
+            ProtocolConfig::with_threshold(2),
+            7,
+        );
+        engine.set_reliability(ReliabilityConfig {
+            enabled: true,
+            retry_budget: 2,
+            hello_rounds: 1,
+            base_backoff: SimDuration::from_millis(4),
+            max_backoff: SimDuration::from_millis(32),
+            phase_timeout: SimDuration::from_millis(400),
+        });
+        let first = engine.deploy_uniform(8);
+        engine.run_wave(&first);
+        let late = engine.deploy_uniform(3);
+        let (injector, victim) = (first[0], late[0]);
+        let hello = Message::Hello { from: PHANTOM };
+        let frame = if wrapped {
+            Message::Reliable {
+                nonce: 42,
+                inner: Box::new(hello),
+            }
+        } else {
+            hello
+        };
+        assert!(engine
+            .sim_mut()
+            .unicast(injector, victim, frame.encode())
+            .is_scheduled());
+        engine.run_wave(&late);
+        let node = engine.node(victim).expect("deployed");
+        assert!(
+            !node.tentative_neighbors().contains(&PHANTOM),
+            "{injector:?} planted {PHANTOM:?} at {victim:?} (wrapped: {wrapped})"
+        );
+        assert!(node.tentative_neighbors().contains(&injector));
+    }
+}

@@ -270,7 +270,7 @@ impl MetricsRegistry {
     /// aggregate counters (`sim.unicasts_sent`, `sim.bytes_sent`,
     /// `sim.hash_ops`, `sim.drops.<Reason>`, …) and per-node distributions
     /// (`sim.node.unicasts_sent` holds one sample per touched node).
-    pub fn ingest_sim(&mut self, metrics: &Metrics) {
+    pub fn ingest_sim(&mut self, metrics: Metrics<'_>) {
         let totals = metrics.totals();
         self.set("sim.unicasts_sent", totals.unicasts_sent);
         self.set("sim.broadcasts_sent", totals.broadcasts_sent);
@@ -279,13 +279,13 @@ impl MetricsRegistry {
         self.set("sim.bytes_received", totals.bytes_received);
         self.set("sim.hash_ops", metrics.hash_ops());
         self.set("sim.drops", metrics.total_drops());
-        for (&reason, &count) in metrics.drop_counts() {
+        for (reason, count) in metrics.drop_counts() {
             self.set(&format!("sim.drops.{reason:?}"), count);
         }
         if metrics.total_faults() > 0 {
             self.set("sim.faults", metrics.total_faults());
         }
-        for (&kind, &count) in metrics.fault_counts() {
+        for (kind, count) in metrics.fault_counts() {
             self.set(&format!("sim.faults.{kind:?}"), count);
         }
         for (_, c) in metrics.per_node() {
@@ -642,22 +642,37 @@ mod tests {
         assert_eq!(names, ["a", "b"]);
     }
 
+    /// Nodes 1 and 2 within radio range of each other, node 3 far away.
+    fn small_sim() -> snd_sim::network::Simulator {
+        use snd_topology::unit_disk::RadioSpec;
+        use snd_topology::{Deployment, Field, Point};
+
+        let mut d = Deployment::empty(Field::square(200.0));
+        d.place(NodeId(1), Point::new(10.0, 10.0));
+        d.place(NodeId(2), Point::new(20.0, 10.0));
+        d.place(NodeId(3), Point::new(190.0, 190.0));
+        snd_sim::network::Simulator::new(d, RadioSpec::uniform(50.0), 42)
+    }
+
     #[test]
     fn ingest_sim_mirrors_totals() {
-        let mut m = Metrics::new();
-        m.node_mut(NodeId(1)).unicasts_sent = 4;
-        m.node_mut(NodeId(1)).bytes_sent = 100;
-        m.node_mut(NodeId(2)).unicasts_sent = 2;
-        m.hash_counter().add(11);
-        m.record_drop(snd_sim::metrics::DropReason::LinkLoss);
+        let mut sim = small_sim();
+        for _ in 0..4 {
+            sim.unicast(NodeId(1), NodeId(2), vec![0u8; 25]);
+        }
+        sim.unicast(NodeId(2), NodeId(1), Vec::new());
+        sim.unicast(NodeId(2), NodeId(3), Vec::new()); // out of range
+        sim.advance(snd_sim::time::SimDuration::from_millis(5));
+        sim.metrics().hash_counter().add(11);
 
         let mut r = MetricsRegistry::new();
-        r.ingest_sim(&m);
+        r.ingest_sim(sim.metrics());
         assert_eq!(r.counter("sim.unicasts_sent"), 6);
         assert_eq!(r.counter("sim.bytes_sent"), 100);
+        assert_eq!(r.counter("sim.received"), 5);
         assert_eq!(r.counter("sim.hash_ops"), 11);
         assert_eq!(r.counter("sim.drops"), 1);
-        assert_eq!(r.counter("sim.drops.LinkLoss"), 1);
+        assert_eq!(r.counter("sim.drops.OutOfRange"), 1);
         let h = r.histogram("sim.node.unicasts_sent").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.percentile(100.0), Some(4));
@@ -826,21 +841,33 @@ mod tests {
 
     #[test]
     fn ingest_sim_exports_fault_counters() {
-        use snd_sim::faults::FaultKind;
-        let mut m = Metrics::new();
-        m.record_fault(FaultKind::Duplicated);
-        m.record_fault(FaultKind::Duplicated);
-        m.record_fault(FaultKind::NodeCrash);
+        use snd_sim::faults::{FaultPlan, FaultSpec};
+        use snd_sim::time::{SimDuration, SimTime};
+
+        // Every scheduled frame is duplicated; every node gets a crash
+        // window, all of them long after the traffic below.
+        let spec = FaultSpec {
+            duplicate: 1.0,
+            crash: 1.0,
+            crash_from: SimTime::from_millis(100),
+            crash_until: SimTime::from_millis(100),
+            ..FaultSpec::default()
+        };
+        let mut sim = small_sim();
+        sim.set_fault_plan(FaultPlan::new(spec, 7));
+        sim.unicast(NodeId(1), NodeId(2), vec![1u8; 4]);
+        sim.unicast(NodeId(2), NodeId(1), vec![2u8; 4]);
+        sim.advance(SimDuration::from_millis(5));
 
         let mut r = MetricsRegistry::new();
-        r.ingest_sim(&m);
-        assert_eq!(r.counter("sim.faults"), 3);
+        r.ingest_sim(sim.metrics());
+        assert_eq!(r.counter("sim.faults"), 5);
         assert_eq!(r.counter("sim.faults.Duplicated"), 2);
-        assert_eq!(r.counter("sim.faults.NodeCrash"), 1);
+        assert_eq!(r.counter("sim.faults.NodeCrash"), 3);
 
         // Fault-free runs export no fault keys at all (schema-neutral).
         let mut clean = MetricsRegistry::new();
-        clean.ingest_sim(&Metrics::new());
+        clean.ingest_sim(small_sim().metrics());
         assert!(!clean.counters().any(|(k, _)| k.starts_with("sim.faults")));
     }
 

@@ -115,10 +115,10 @@ impl RunReport {
 
     /// Copies the simulator's cost counters — aggregates, drops and the
     /// per-node breakdown — into the report.
-    pub fn capture_sim(&mut self, metrics: &Metrics) {
+    pub fn capture_sim(&mut self, metrics: Metrics<'_>) {
         self.totals = metrics.totals();
         self.hash_ops = metrics.hash_ops();
-        self.drops = metrics.drop_counts().clone();
+        self.drops = metrics.drop_counts();
         self.per_node = metrics.per_node().collect();
     }
 
@@ -203,16 +203,26 @@ mod tests {
 
     #[test]
     fn report_round_trips_sim_metrics() {
-        let mut m = Metrics::new();
-        m.node_mut(NodeId(3)).unicasts_sent = 2;
-        m.node_mut(NodeId(3)).bytes_sent = 64;
-        m.hash_counter().add(5);
-        m.record_drop(DropReason::Jammed);
+        use snd_sim::jamming::JamZone;
+        use snd_sim::network::Simulator;
+        use snd_topology::unit_disk::RadioSpec;
+        use snd_topology::{Circle, Deployment, Field, Point};
+
+        // Node 3 reaches node 4; a jammer sits on node 5.
+        let mut d = Deployment::empty(Field::square(100.0));
+        d.place(NodeId(3), Point::new(10.0, 10.0));
+        d.place(NodeId(4), Point::new(20.0, 10.0));
+        d.place(NodeId(5), Point::new(30.0, 10.0));
+        let mut sim = Simulator::new(d, RadioSpec::uniform(50.0), 42);
+        sim.add_jammer(JamZone::permanent(Circle::new(Point::new(30.0, 10.0), 1.0)));
+        sim.unicast(NodeId(3), NodeId(4), vec![0u8; 40]);
+        sim.unicast(NodeId(3), NodeId(5), vec![0u8; 24]);
+        sim.metrics().hash_counter().add(5);
 
         let mut report = RunReport::new("safety", "t=2", 42);
         report.set_param("nodes", &900u64);
         report.set_outcome("attack_success", &false);
-        report.capture_sim(&m);
+        report.capture_sim(sim.metrics());
         report.set_events(vec![EventRecord {
             seq: 0,
             event: Event::MasterKeyErased { node: NodeId(3) },

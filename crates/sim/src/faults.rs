@@ -47,6 +47,17 @@ pub enum FaultKind {
     NodeCrash,
 }
 
+impl FaultKind {
+    /// Every kind, in declaration order — which is both the `Ord` order
+    /// and the discriminant order, so `kind as usize` indexes this array.
+    pub(crate) const ALL: [FaultKind; 4] = [
+        FaultKind::Duplicated,
+        FaultKind::Reordered,
+        FaultKind::Corrupted,
+        FaultKind::NodeCrash,
+    ];
+}
+
 /// A window of elevated loss, `[from, until)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LossBurst {
@@ -326,6 +337,14 @@ mod tests {
 
     fn n(i: u64) -> NodeId {
         NodeId(i)
+    }
+
+    #[test]
+    fn fault_kind_discriminants_index_all() {
+        for (idx, kind) in FaultKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, idx);
+        }
+        assert!(FaultKind::ALL.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! The communication ledger: per-node × per-phase × per-kind accounting
 //! of everything that crosses the simulated radio (DESIGN.md §13).
 //!
+//! It is the simulator's only per-frame transport account:
+//! [`Metrics`](crate::metrics::Metrics) is a read-only view over it.
+//!
 //! Every *logical send* (one unicast, or one broadcast regardless of how
 //! many receivers hear it) is assigned a deterministic, seed-derived
 //! message id. The ledger tracks two complementary views of the traffic:
 //!
-//! * **message counters** mirror the [`Metrics`](crate::metrics::Metrics)
-//!   transport semantics — a broadcast counts once, bytes are charged to
-//!   the sender per logical send — so `comm.tx_msgs` always equals
-//!   `sim.unicasts_sent + sim.broadcasts_sent` and `comm.tx_bytes` equals
-//!   `sim.bytes_sent` (the E9 consistency check);
+//! * **message counters** — a broadcast counts once, bytes are charged to
+//!   the sender per logical send. With each node's broadcast count kept
+//!   beside them, they are what `Metrics` reports, so the E9 check
+//!   (`comm.tx_msgs == sim.unicasts_sent + sim.broadcasts_sent`,
+//!   `comm.tx_bytes == sim.bytes_sent`) holds by construction;
 //! * **frame counters** count directed on-air copies — one per unicast
 //!   attempt, one per in-range broadcast receiver, one per injected
 //!   duplicate — and every frame ends its life as exactly one delivery or
@@ -17,6 +20,10 @@
 //!   `crates/sim/tests/conservation.rs` pins:
 //!   `tx_frames == delivered_frames + dropped_frames`, per node (as
 //!   sender) and in aggregate, for counts and for bytes.
+//!
+//! For the `Metrics` view the ledger also counts injected faults and
+//! *silent* drops: frames that reached a receiver which died while they
+//! were in flight (booked as `NoSuchNode`, but no failure the radio saw).
 //!
 //! Energy is the *estimated* radio cost in integer nanojoules, computed
 //! from the installed [`EnergyModel`](crate::energy::EnergyModel) or the
@@ -32,6 +39,7 @@ use std::collections::BTreeMap;
 use snd_exec::{splitmix64, stream_seed};
 use snd_topology::NodeId;
 
+use crate::faults::FaultKind;
 use crate::metrics::DropReason;
 
 /// Stream label for message-id derivation, distinct from the fault plan's
@@ -207,15 +215,20 @@ pub struct CommLedger {
     /// Per-phase aggregates, indexed by interned phase id.
     phase_agg: Vec<PhaseComm>,
     totals: NodeComm,
+    /// Dropped frames the radio never saw fail (all `NoSuchNode`).
+    silent_drops: u64,
+    /// Injected faults, indexed by `FaultKind as usize`.
+    faults: [u64; FaultKind::ALL.len()],
 }
 
-/// One node's ledger state: its totals and its slice of the
-/// node × phase × kind cube. The cell list is sorted by packed
-/// `(phase << 8) | kind` key and stays tiny (≤ phases × kinds), so a
-/// binary search beats any map.
+/// One node's ledger state: its totals, how many of its logical sends
+/// were broadcasts, and its slice of the node × phase × kind cube. The
+/// cell list is sorted by packed `(phase << 8) | kind` key and stays tiny
+/// (≤ phases × kinds), so a binary search beats any map.
 #[derive(Debug, Default)]
-struct NodeEntry {
-    comm: NodeComm,
+pub(crate) struct NodeEntry {
+    pub(crate) comm: NodeComm,
+    pub(crate) broadcasts: u64,
     cells: Vec<(u16, CellComm)>,
 }
 
@@ -262,6 +275,8 @@ impl CommLedger {
             touched: Vec::new(),
             phase_agg: vec![PhaseComm::default()],
             totals: NodeComm::default(),
+            silent_drops: 0,
+            faults: [0; FaultKind::ALL.len()],
         }
     }
 
@@ -289,14 +304,16 @@ impl CommLedger {
         intern(&mut self.kinds, kind)
     }
 
-    /// Opens a logical send: assigns the next seed-derived message id and
-    /// charges the message-level counters. Returns `(id, kind index)`;
-    /// the kind index travels with each frame copy so deliveries and
-    /// drops land in the right cube cell.
+    /// Opens a logical send (a unicast, or one whole `broadcast`):
+    /// assigns the next seed-derived message id and charges the
+    /// message-level counters. Returns `(id, kind index)`; the kind index
+    /// travels with each frame copy so deliveries and drops land in the
+    /// right cube cell.
     pub(crate) fn begin_tx(
         &mut self,
         from: NodeId,
         meta: TxMeta,
+        broadcast: bool,
         bytes: usize,
         energy_uj: f64,
     ) -> (u64, u8) {
@@ -307,6 +324,7 @@ impl CommLedger {
         let nj = to_nj(energy_uj);
         let retx = u64::from(meta.retransmission);
         let entry = ent(&mut self.per_node, &mut self.touched, from);
+        entry.broadcasts += u64::from(broadcast);
         for comm in [&mut entry.comm, &mut self.totals] {
             comm.tx_msgs += 1;
             comm.tx_bytes += bytes as u64;
@@ -336,8 +354,18 @@ impl CommLedger {
         }
     }
 
-    /// Closes one frame copy as dropped, attributed to the sender.
-    pub(crate) fn record_drop(&mut self, from: NodeId, kind: u8, reason: DropReason, bytes: usize) {
+    /// Closes one frame copy as dropped, attributed to the sender. A drop
+    /// the radio never `heard` fail (a dead receiver) is also counted as
+    /// silent.
+    pub(crate) fn record_drop(
+        &mut self,
+        from: NodeId,
+        kind: u8,
+        reason: DropReason,
+        bytes: usize,
+        heard: bool,
+    ) {
+        self.silent_drops += u64::from(!heard);
         let phase = self.phase_idx;
         let entry = ent(&mut self.per_node, &mut self.touched, from);
         for comm in [&mut entry.comm, &mut self.totals] {
@@ -383,6 +411,21 @@ impl CommLedger {
         agg.rx_energy_nj += nj;
     }
 
+    /// Counts one injected fault.
+    pub(crate) fn record_fault(&mut self, kind: FaultKind) {
+        self.faults[kind as usize] += 1;
+    }
+
+    /// Injected faults, indexed by `FaultKind as usize`.
+    pub(crate) fn faults(&self) -> [u64; FaultKind::ALL.len()] {
+        self.faults
+    }
+
+    /// Dropped frames the radio never saw fail (all `NoSuchNode`).
+    pub(crate) fn silent_drops(&self) -> u64 {
+        self.silent_drops
+    }
+
     /// Message ids issued so far.
     pub fn issued(&self) -> u64 {
         self.issued
@@ -422,21 +465,28 @@ impl CommLedger {
 
     /// One node's totals (zeroes for a node the ledger never saw).
     pub fn node(&self, id: NodeId) -> NodeComm {
-        self.per_node
-            .get(id.0 as usize)
-            .map(|e| e.comm.clone())
-            .unwrap_or_default()
+        self.entry(id).map(|e| e.comm.clone()).unwrap_or_default()
     }
 
-    /// Per-node totals, ordered by node id (the natural order of the
-    /// dense storage).
-    pub fn per_node(&self) -> impl Iterator<Item = (NodeId, &NodeComm)> + '_ {
+    /// `id`'s dense slot, if the table reaches that far.
+    pub(crate) fn entry(&self, id: NodeId) -> Option<&NodeEntry> {
+        self.per_node.get(id.0 as usize)
+    }
+
+    /// Every slot the ledger charged, ordered by node id (the natural
+    /// order of the dense storage).
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (NodeId, &NodeEntry)> + '_ {
         self.per_node
             .iter()
             .zip(self.touched.iter())
             .enumerate()
             .filter(|(_, (_, &touched))| touched)
-            .map(|(idx, (e, _))| (NodeId(idx as u64), &e.comm))
+            .map(|(idx, (e, _))| (NodeId(idx as u64), e))
+    }
+
+    /// Per-node totals, ordered by node id.
+    pub fn per_node(&self) -> impl Iterator<Item = (NodeId, &NodeComm)> + '_ {
+        self.entries().map(|(id, e)| (id, &e.comm))
     }
 
     /// Per-phase aggregates, in phase announcement order (phases that
@@ -523,13 +573,13 @@ mod tests {
         let mut b = CommLedger::new(42);
         let mut c = CommLedger::new(43);
         let ids_a: Vec<u64> = (0..100)
-            .map(|_| a.begin_tx(n(1), TxMeta::raw(), 9, 0.0).0)
+            .map(|_| a.begin_tx(n(1), TxMeta::raw(), false, 9, 0.0).0)
             .collect();
         let ids_b: Vec<u64> = (0..100)
-            .map(|_| b.begin_tx(n(1), TxMeta::raw(), 9, 0.0).0)
+            .map(|_| b.begin_tx(n(1), TxMeta::raw(), false, 9, 0.0).0)
             .collect();
         let ids_c: Vec<u64> = (0..100)
-            .map(|_| c.begin_tx(n(1), TxMeta::raw(), 9, 0.0).0)
+            .map(|_| c.begin_tx(n(1), TxMeta::raw(), false, 9, 0.0).0)
             .collect();
         assert_eq!(ids_a, ids_b, "same seed, same ids");
         assert_ne!(ids_a, ids_c, "different seeds diverge");
@@ -543,13 +593,13 @@ mod tests {
     fn cube_cells_split_by_phase_and_kind() {
         let mut ledger = CommLedger::new(7);
         ledger.set_phase("hello");
-        let (_, hello) = ledger.begin_tx(n(1), TxMeta::of("hello"), 9, 10.0);
+        let (_, hello) = ledger.begin_tx(n(1), TxMeta::of("hello"), true, 9, 10.0);
         ledger.record_rx(n(2), n(1), hello, 9, 11.0);
         ledger.set_phase("collect");
-        let (req_id, req) = ledger.begin_tx(n(2), TxMeta::of("record_request"), 9, 10.0);
-        ledger.record_drop(n(2), req, DropReason::LinkLoss, 9);
+        let (req_id, req) = ledger.begin_tx(n(2), TxMeta::of("record_request"), false, 9, 10.0);
+        ledger.record_drop(n(2), req, DropReason::LinkLoss, 9, true);
         let retx = TxMeta::retx("record_request", req_id);
-        ledger.begin_tx(n(2), retx, 9, 10.0);
+        ledger.begin_tx(n(2), retx, false, 9, 10.0);
 
         let cells: Vec<(NodeId, &str, &str, u64, u64)> = ledger
             .cells()
@@ -573,7 +623,7 @@ mod tests {
     #[test]
     fn energy_is_integral_nanojoules() {
         let mut ledger = CommLedger::new(1);
-        let (_, k) = ledger.begin_tx(n(1), TxMeta::raw(), 100, 70.0);
+        let (_, k) = ledger.begin_tx(n(1), TxMeta::raw(), false, 100, 70.0);
         ledger.record_rx(n(2), n(1), k, 100, 77.0);
         assert_eq!(ledger.node(n(1)).tx_energy_nj, 70_000);
         assert_eq!(ledger.node(n(2)).rx_energy_nj, 77_000);

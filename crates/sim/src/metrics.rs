@@ -3,8 +3,13 @@
 //! Section 4.3 of the paper argues the protocol is cheap by counting three
 //! things: storage items, messages "transmitted between neighboring sensor
 //! nodes", and "a few efficient one-way hash operations". [`Metrics`]
-//! counts all three (bytes too) per node and in aggregate, so the overhead
+//! reports all three (bytes too) per node and in aggregate, so the overhead
 //! experiment (E9 in DESIGN.md) is a straight read-out.
+//!
+//! `Metrics` owns no transport counters: it is a read-only view over the
+//! simulator's [`CommLedger`], where every frame is booked once (DESIGN.md
+//! §13). Hash operations are protocol cost, not transport, so they live
+//! in a separate [`HashCounter`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,6 +19,7 @@ use serde::Serialize;
 use snd_topology::NodeId;
 
 use crate::faults::FaultKind;
+use crate::ledger::{CommLedger, NodeComm};
 
 /// Why a transmission failed to reach a receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
@@ -51,148 +57,121 @@ pub struct NodeCounters {
     pub bytes_received: u64,
 }
 
-/// Aggregate simulation metrics.
-///
-/// Per-node counters live in a dense vector indexed by the node id —
-/// deployments number nodes `0..n`, so the hot per-frame bumps are a
-/// bounds check and a direct index instead of a hash probe. `touched`
-/// tracks which slots were ever handed out so exports keep the exact
-/// "nodes with at least one recorded counter" semantics of the old map.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    per_node: Vec<NodeCounters>,
-    touched: Vec<bool>,
-    touched_count: usize,
-    drops: BTreeMap<DropReason, u64>,
-    faults: BTreeMap<FaultKind, u64>,
-    hash_ops: Arc<AtomicU64>,
+/// Read-only view of a simulator's cost counters, derived from its
+/// communication ledger; obtained from
+/// [`Simulator::metrics`](crate::network::Simulator::metrics).
+#[derive(Debug, Clone, Copy)]
+pub struct Metrics<'a> {
+    pub(crate) ledger: &'a CommLedger,
+    pub(crate) hash_ops: &'a HashCounter,
 }
 
-impl Metrics {
-    /// Fresh, zeroed metrics.
-    pub fn new() -> Self {
-        Metrics::default()
+/// A node's cost counters from its ledger totals and broadcast count.
+fn counters(comm: &NodeComm, broadcasts: u64) -> NodeCounters {
+    NodeCounters {
+        unicasts_sent: comm.tx_msgs - broadcasts,
+        broadcasts_sent: broadcasts,
+        received: comm.rx_msgs,
+        bytes_sent: comm.tx_bytes,
+        bytes_received: comm.rx_bytes,
     }
+}
 
-    /// Mutable counters for `id`, created on first touch.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut NodeCounters {
-        let idx = id.0 as usize;
-        if idx >= self.per_node.len() {
-            self.per_node.resize(idx + 1, NodeCounters::default());
-            self.touched.resize(idx + 1, false);
-        }
-        if !self.touched[idx] {
-            self.touched[idx] = true;
-            self.touched_count += 1;
-        }
-        &mut self.per_node[idx]
-    }
-
+impl<'a> Metrics<'a> {
     /// Counters for `id`, zeroed if never touched.
     pub fn node(&self, id: NodeId) -> NodeCounters {
-        self.per_node
-            .get(id.0 as usize)
-            .copied()
+        self.ledger
+            .entry(id)
+            .map(|e| counters(&e.comm, e.broadcasts))
             .unwrap_or_default()
-    }
-
-    /// Records a dropped delivery.
-    pub fn record_drop(&mut self, reason: DropReason) {
-        *self.drops.entry(reason).or_insert(0) += 1;
     }
 
     /// Number of drops for `reason`.
     pub fn drops(&self, reason: DropReason) -> u64 {
-        self.drops.get(&reason).copied().unwrap_or(0)
+        self.drop_counts().get(&reason).copied().unwrap_or(0)
     }
 
     /// Total drops across all reasons.
     pub fn total_drops(&self) -> u64 {
-        self.drops.values().sum()
+        self.ledger.totals().dropped_frames - self.ledger.silent_drops()
     }
 
-    /// Iterates every touched node's counters, in id order (dense
-    /// storage makes ascending order the natural iteration order).
-    pub fn per_node(&self) -> impl Iterator<Item = (NodeId, NodeCounters)> + '_ {
-        self.per_node
-            .iter()
-            .zip(self.touched.iter())
-            .enumerate()
-            .filter(|(_, (_, &touched))| touched)
-            .map(|(idx, (&c, _))| (NodeId(idx as u64), c))
+    /// Iterates every touched node's counters, in id order.
+    pub fn per_node(&self) -> impl Iterator<Item = (NodeId, NodeCounters)> + 'a {
+        self.ledger
+            .entries()
+            .map(|(id, e)| (id, counters(&e.comm, e.broadcasts)))
     }
 
-    /// Number of nodes with at least one recorded counter.
+    /// Number of nodes with at least one recorded counter: every node
+    /// that sent a frame or received a delivered one.
     pub fn touched_nodes(&self) -> usize {
-        self.touched_count
+        self.ledger.entries().count()
     }
 
-    /// Every drop reason observed, with its count.
-    pub fn drop_counts(&self) -> &BTreeMap<DropReason, u64> {
-        &self.drops
-    }
-
-    /// Records a non-drop fault injection (duplication, reordering,
-    /// corruption, crash scheduling).
-    pub fn record_fault(&mut self, kind: FaultKind) {
-        *self.faults.entry(kind).or_insert(0) += 1;
+    /// Every drop reason the radio observed, with its count. Frames lost
+    /// to a receiver that died while they were in flight are left out.
+    pub fn drop_counts(&self) -> BTreeMap<DropReason, u64> {
+        let mut drops = self.ledger.totals().drops.clone();
+        if let Some(count) = drops.get_mut(&DropReason::NoSuchNode) {
+            *count -= self.ledger.silent_drops();
+        }
+        drops.retain(|_, count| *count > 0);
+        drops
     }
 
     /// Number of injected faults of `kind`.
     pub fn faults(&self, kind: FaultKind) -> u64 {
-        self.faults.get(&kind).copied().unwrap_or(0)
+        self.ledger.faults()[kind as usize]
     }
 
     /// Total injected (non-drop) faults across all kinds.
     pub fn total_faults(&self) -> u64 {
-        self.faults.values().sum()
+        self.ledger.faults().iter().sum()
     }
 
     /// Every fault kind observed, with its count.
-    pub fn fault_counts(&self) -> &BTreeMap<FaultKind, u64> {
-        &self.faults
+    pub fn fault_counts(&self) -> BTreeMap<FaultKind, u64> {
+        FaultKind::ALL
+            .into_iter()
+            .zip(self.ledger.faults())
+            .filter(|&(_, count)| count > 0)
+            .collect()
     }
 
     /// A shareable counter for hash operations; protocol code clones the
     /// handle and bumps it on every hash invocation.
     pub fn hash_counter(&self) -> HashCounter {
-        HashCounter(Arc::clone(&self.hash_ops))
+        self.hash_ops.clone()
     }
 
     /// Total hash operations recorded so far.
     pub fn hash_ops(&self) -> u64 {
-        self.hash_ops.load(Ordering::Relaxed)
+        self.hash_ops.get()
     }
 
     /// Sums counters over all nodes.
     pub fn totals(&self) -> NodeCounters {
-        let mut total = NodeCounters::default();
-        for c in &self.per_node {
-            total.unicasts_sent += c.unicasts_sent;
-            total.broadcasts_sent += c.broadcasts_sent;
-            total.received += c.received;
-            total.bytes_sent += c.bytes_sent;
-            total.bytes_received += c.bytes_received;
-        }
-        total
+        let broadcasts = self.ledger.entries().map(|(_, e)| e.broadcasts).sum();
+        counters(self.ledger.totals(), broadcasts)
     }
 
     /// Mean frames sent (unicast + broadcast) per touched node.
     pub fn mean_sent_per_node(&self) -> f64 {
-        if self.touched_count == 0 {
+        let touched = self.touched_nodes();
+        if touched == 0 {
             return 0.0;
         }
-        let t = self.totals();
-        (t.unicasts_sent + t.broadcasts_sent) as f64 / self.touched_count as f64
+        self.ledger.totals().tx_msgs as f64 / touched as f64
     }
 }
 
-/// A cloneable handle onto the global hash-operation counter.
+/// A cloneable handle onto a shared hash-operation counter.
 #[derive(Debug, Clone)]
 pub struct HashCounter(Arc<AtomicU64>);
 
 impl HashCounter {
-    /// A detached counter not connected to any [`Metrics`]; useful in tests.
+    /// A fresh counter at zero, shared with nothing yet.
     pub fn detached() -> Self {
         HashCounter(Arc::new(AtomicU64::new(0)))
     }
@@ -211,59 +190,95 @@ impl HashCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::TxMeta;
 
     fn n(i: u64) -> NodeId {
         NodeId(i)
     }
 
+    fn view<'a>(ledger: &'a CommLedger, hash_ops: &'a HashCounter) -> Metrics<'a> {
+        Metrics { ledger, hash_ops }
+    }
+
     #[test]
     fn counters_accumulate() {
-        let mut m = Metrics::new();
-        m.node_mut(n(1)).unicasts_sent += 2;
-        m.node_mut(n(1)).bytes_sent += 100;
-        m.node_mut(n(2)).broadcasts_sent += 1;
+        let mut ledger = CommLedger::new(1);
+        let (_, k) = ledger.begin_tx(n(1), TxMeta::raw(), false, 60, 0.0);
+        ledger.begin_tx(n(1), TxMeta::raw(), false, 40, 0.0);
+        ledger.begin_tx(n(2), TxMeta::raw(), true, 8, 0.0);
+        ledger.record_rx(n(3), n(1), k, 60, 0.0);
+        let ops = HashCounter::detached();
+        let m = view(&ledger, &ops);
+        assert_eq!(
+            m.node(n(1)),
+            NodeCounters {
+                unicasts_sent: 2,
+                bytes_sent: 100,
+                ..NodeCounters::default()
+            }
+        );
         let t = m.totals();
-        assert_eq!(t.unicasts_sent, 2);
-        assert_eq!(t.broadcasts_sent, 1);
-        assert_eq!(t.bytes_sent, 100);
-        assert_eq!(m.mean_sent_per_node(), 1.5);
+        assert_eq!((t.unicasts_sent, t.broadcasts_sent), (2, 1));
+        assert_eq!((t.bytes_sent, t.received, t.bytes_received), (108, 1, 60));
+        assert_eq!(m.touched_nodes(), 3);
+        assert_eq!(m.mean_sent_per_node(), 1.0);
+        let ids: Vec<NodeId> = m.per_node().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![n(1), n(2), n(3)]);
     }
 
     #[test]
     fn untouched_node_is_zero() {
-        let m = Metrics::new();
+        let ledger = CommLedger::new(1);
+        let ops = HashCounter::detached();
+        let m = view(&ledger, &ops);
         assert_eq!(m.node(n(9)), NodeCounters::default());
         assert_eq!(m.mean_sent_per_node(), 0.0);
     }
 
     #[test]
     fn drop_reasons_tracked_separately() {
-        let mut m = Metrics::new();
-        m.record_drop(DropReason::OutOfRange);
-        m.record_drop(DropReason::OutOfRange);
-        m.record_drop(DropReason::Jammed);
+        let mut ledger = CommLedger::new(1);
+        let (_, k) = ledger.begin_tx(n(1), TxMeta::raw(), true, 4, 0.0);
+        ledger.record_drop(n(1), k, DropReason::OutOfRange, 4, true);
+        ledger.record_drop(n(1), k, DropReason::OutOfRange, 4, true);
+        ledger.record_drop(n(1), k, DropReason::Jammed, 4, true);
+        ledger.record_drop(n(1), k, DropReason::NoSuchNode, 4, false);
+        let ops = HashCounter::detached();
+        let m = view(&ledger, &ops);
         assert_eq!(m.drops(DropReason::OutOfRange), 2);
         assert_eq!(m.drops(DropReason::Jammed), 1);
-        assert_eq!(m.drops(DropReason::LinkLoss), 0);
+        assert_eq!(m.drops(DropReason::NoSuchNode), 0);
         assert_eq!(m.total_drops(), 3);
+        assert_eq!(m.drop_counts().len(), 2, "silent-only reason is absent");
+        ledger.record_drop(n(1), k, DropReason::NoSuchNode, 4, true);
+        let m = view(&ledger, &ops);
+        assert_eq!(m.drops(DropReason::NoSuchNode), 1);
+        assert_eq!(m.total_drops(), 4);
     }
 
     #[test]
     fn fault_kinds_tracked_separately() {
-        let mut m = Metrics::new();
-        m.record_fault(FaultKind::Duplicated);
-        m.record_fault(FaultKind::Duplicated);
-        m.record_fault(FaultKind::Corrupted);
+        let mut ledger = CommLedger::new(1);
+        ledger.record_fault(FaultKind::Duplicated);
+        ledger.record_fault(FaultKind::Duplicated);
+        ledger.record_fault(FaultKind::Corrupted);
+        let ops = HashCounter::detached();
+        let m = view(&ledger, &ops);
         assert_eq!(m.faults(FaultKind::Duplicated), 2);
         assert_eq!(m.faults(FaultKind::Corrupted), 1);
         assert_eq!(m.faults(FaultKind::Reordered), 0);
         assert_eq!(m.total_faults(), 3);
-        assert_eq!(m.fault_counts().len(), 2);
+        assert_eq!(
+            m.fault_counts().into_iter().collect::<Vec<_>>(),
+            vec![(FaultKind::Duplicated, 2), (FaultKind::Corrupted, 1)]
+        );
     }
 
     #[test]
     fn hash_counter_shared() {
-        let m = Metrics::new();
+        let ledger = CommLedger::new(1);
+        let ops = HashCounter::detached();
+        let m = view(&ledger, &ops);
         let h1 = m.hash_counter();
         let h2 = m.hash_counter();
         h1.add(3);
@@ -274,7 +289,9 @@ mod tests {
 
     #[test]
     fn detached_counter_is_isolated() {
-        let m = Metrics::new();
+        let ledger = CommLedger::new(1);
+        let ops = HashCounter::detached();
+        let m = view(&ledger, &ops);
         let d = HashCounter::detached();
         d.add(5);
         assert_eq!(m.hash_ops(), 0);

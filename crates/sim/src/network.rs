@@ -20,7 +20,7 @@ use crate::envelope::Envelope;
 use crate::faults::{FaultKind, FaultPlan, FrameFaults};
 use crate::jamming::JamZone;
 use crate::ledger::{CommLedger, TxMeta};
-use crate::metrics::{DropReason, Metrics};
+use crate::metrics::{DropReason, HashCounter, Metrics};
 use crate::radio::{AnyLinkModel, LinkModel};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{MsgSend, TraceHook};
@@ -133,7 +133,8 @@ pub struct Simulator {
     /// thread-invariant (DESIGN.md §9/§17).
     inbox_bytes: u64,
     inbox_bytes_peak: u64,
-    metrics: Metrics,
+    /// Protocol hash operations (not transport; see [`Metrics`]).
+    hash_ops: HashCounter,
     rng: StdRng,
     latency: SimDuration,
     energy: Option<EnergyModel>,
@@ -147,8 +148,9 @@ pub struct Simulator {
     trace: Option<Arc<dyn TraceHook>>,
     faults: Option<FaultPlan>,
     /// The communication ledger: per-node × per-phase × per-kind
-    /// accounting of every frame, always on. Also issues the message ids
-    /// used for duplicate suppression.
+    /// accounting of every frame, always on, and the only per-frame
+    /// transport account ([`Simulator::metrics`] is a view over it). Also
+    /// issues the message ids used for duplicate suppression.
     ledger: CommLedger,
     /// Lazily built spatial shortlist for broadcast receivers, dropped on
     /// any position mutation. `None` means stale/absent.
@@ -300,7 +302,7 @@ impl Simulator {
             dirty_inboxes: Vec::new(),
             inbox_bytes: 0,
             inbox_bytes_peak: 0,
-            metrics: Metrics::new(),
+            hash_ops: HashCounter::detached(),
             rng: StdRng::seed_from_u64(seed),
             latency: SimDuration::from_millis(1),
             energy: None,
@@ -363,9 +365,9 @@ impl Simulator {
         self.faults.as_ref()
     }
 
-    /// Notes an injected fault in both the metrics and the trace hook.
+    /// Notes an injected fault in both the ledger and the trace hook.
     fn note_fault(&mut self, kind: FaultKind, from: NodeId, to: NodeId) {
-        self.metrics.record_fault(kind);
+        self.ledger.record_fault(kind);
         if let Some(hook) = &self.trace {
             hook.fault_injected(kind, from, to);
         }
@@ -377,10 +379,10 @@ impl Simulator {
     }
 
     /// Closes one frame copy of message `id` as dropped: books it in the
-    /// ledger, and — when `counted` — in the drop metrics and the
-    /// `radio_drop` hook. The one un-`counted` site is a frame arriving
-    /// at a receiver that no longer exists: the radio saw no failure, so
-    /// `Metrics` stays silent, but the ledger still closes its books
+    /// ledger and, when the radio `heard` the failure, fires the
+    /// `radio_drop` hook. The one unheard site is a frame arriving at a
+    /// receiver that no longer exists: the ledger books it as silent
+    /// (left out of [`Metrics`]' drop counts) but still closes the frame
     /// (otherwise frame conservation would leak).
     #[allow(clippy::too_many_arguments)]
     fn drop_msg(
@@ -391,14 +393,11 @@ impl Simulator {
         to: NodeId,
         reason: DropReason,
         bytes: usize,
-        counted: bool,
+        heard: bool,
     ) {
-        self.ledger.record_drop(from, kind, reason, bytes);
-        if counted {
-            self.metrics.record_drop(reason);
-        }
+        self.ledger.record_drop(from, kind, reason, bytes, heard);
         if let Some(hook) = &self.trace {
-            if counted {
+            if heard {
                 hook.radio_drop(from, to, reason);
             }
             hook.msg_dropped(id, from, to, reason);
@@ -562,14 +561,12 @@ impl Simulator {
         self.time
     }
 
-    /// Read access to metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable access to metrics (for protocol layers recording hash ops).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+    /// The cost counters, as a read-only view over the ledger.
+    pub fn metrics(&self) -> Metrics<'_> {
+        Metrics {
+            ledger: &self.ledger,
+            hash_ops: &self.hash_ops,
+        }
     }
 
     /// Finds the best (closest) transceiver pair between two nodes, if both
@@ -769,31 +766,18 @@ impl Simulator {
             return SendOutcome::Scheduled;
         }
         let now = self.time;
-        let (down, decision) = {
-            let plan = self.faults.as_mut().expect("checked above");
-            let down = plan.is_down(from, now) || plan.is_down(to, now);
-            // A frame from/to a crashed radio never makes it onto the air,
-            // so no per-frame randomness is consumed for it (down-ness is a
-            // pure function of the plan seed — determinism is preserved).
-            let decision = if down {
-                FrameFaults::CLEAN
-            } else {
-                plan.decide_frame(now)
-            };
-            (down, decision)
+        let plan = self.faults.as_mut().expect("checked above");
+        // A frame from/to a crashed radio never makes it onto the air,
+        // so no per-frame randomness is consumed for it (down-ness is a
+        // pure function of the plan seed — determinism is preserved).
+        let decision = if plan.is_down(from, now) || plan.is_down(to, now) {
+            FrameFaults {
+                drop: Some(DropReason::NodeDown),
+                ..FrameFaults::CLEAN
+            }
+        } else {
+            plan.decide_frame(now)
         };
-        if down {
-            self.drop_msg(
-                id,
-                kind,
-                from,
-                to,
-                DropReason::NodeDown,
-                payload.len(),
-                true,
-            );
-            return SendOutcome::Dropped(DropReason::NodeDown);
-        }
         if let Some(reason) = decision.drop {
             self.drop_msg(id, kind, from, to, reason, payload.len(), true);
             return SendOutcome::Dropped(reason);
@@ -888,14 +872,9 @@ impl Simulator {
     ) -> (u64, SendOutcome) {
         let payload = payload.into();
         let bytes = payload.len();
-        {
-            let c = self.metrics.node_mut(from);
-            c.unicasts_sent += 1;
-            c.bytes_sent += bytes as u64;
-        }
         self.charge(from, bytes, false);
         let tx_uj = self.est_energy_uj(bytes, false);
-        let (id, kind) = self.ledger.begin_tx(from, meta, bytes, tx_uj);
+        let (id, kind) = self.ledger.begin_tx(from, meta, false, bytes, tx_uj);
         self.note_sent(id, meta, from, Some(to), bytes);
         self.ledger.frame_attempt(from, bytes);
         let outcome = match self.check_delivery(from, to) {
@@ -925,14 +904,9 @@ impl Simulator {
     ) -> (u64, usize) {
         let payload = payload.into();
         let bytes = payload.len();
-        {
-            let c = self.metrics.node_mut(from);
-            c.broadcasts_sent += 1;
-            c.bytes_sent += bytes as u64;
-        }
         self.charge(from, bytes, false);
         let tx_uj = self.est_energy_uj(bytes, false);
-        let (id, kind) = self.ledger.begin_tx(from, meta, bytes, tx_uj);
+        let (id, kind) = self.ledger.begin_tx(from, meta, true, bytes, tx_uj);
         self.note_sent(id, meta, from, None, bytes);
         let targets = self.broadcast_targets(from);
         let mut delivered = 0usize;
@@ -1017,12 +991,16 @@ impl Simulator {
             // random, and once the per-node tables outgrow the cache
             // every charge is a miss. All per-frame bookkeeping is
             // commutative counter arithmetic and, with energy accounting
-            // off, no delivery can change which nodes are alive — so
-            // intra-bucket order is unobservable except through each
-            // receiver's inbox order, which the *stable* sort preserves.
+            // off, no delivery can change which nodes are alive, so the
+            // sort changes no counter, and the *stable* sort keeps each
+            // receiver's inbox order. It is still observable: the trace
+            // hook's `msg_delivered`/`msg_dropped` events fire in this
+            // loop's order, so every recorded event stream (and the
+            // pinned wave fingerprints built from it) carries the
+            // receiver-sorted order. Removing the sort changes output.
             // With energy on, a mid-bucket battery death makes order
-            // observable (later frames to the dead node must drop), so
-            // the historical send-order walk stays.
+            // matter for delivery too (later frames to the dead node
+            // must drop), so the historical send-order walk stays.
             if self.energy.is_none() {
                 bucket.sort_by_key(|inflight| inflight.to);
             }
@@ -1034,101 +1012,63 @@ impl Simulator {
 
     /// Delivers (or drops) one due frame.
     fn deliver_one(&mut self, inflight: InFlight) {
-        {
-            let (id, kind) = (inflight.frame.msg_id, inflight.kind);
-            let from = inflight.frame.from;
-            let bytes = inflight.frame.payload.len();
-            // Dead receivers silently lose frames: no metric drop (the
-            // radio saw no failure), but the ledger closes the frame so
-            // conservation holds.
-            if self.pos(inflight.to).is_none() {
-                self.drop_msg(
-                    id,
-                    kind,
-                    from,
-                    inflight.to,
-                    DropReason::NoSuchNode,
-                    bytes,
-                    false,
-                );
-                return;
-            }
-            if self.faults.is_some() {
-                // A crashed radio hears nothing while its window is open.
-                let down = self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|p| p.is_down(inflight.to, inflight.deliver_at));
-                if down {
-                    self.drop_msg(
-                        id,
-                        kind,
-                        from,
-                        inflight.to,
-                        DropReason::NodeDown,
-                        bytes,
-                        true,
-                    );
-                    return;
-                }
-                // Detected corruption dies at the receiver's CRC check.
-                if inflight.crc_failed {
-                    self.drop_msg(
-                        id,
-                        kind,
-                        from,
-                        inflight.to,
-                        DropReason::Corrupted,
-                        bytes,
-                        true,
-                    );
-                    return;
-                }
-                // Duplicate suppression: a message id already seen within
-                // the receiver's dedup window is discarded.
-                let window = self.faults.as_ref().map_or(0, |p| p.spec().dedup_window);
-                if window > 0 {
-                    let ring = &mut self.state_mut(inflight.to).recent;
-                    if ring.contains(&id) {
-                        self.drop_msg(
-                            id,
-                            kind,
-                            from,
-                            inflight.to,
-                            DropReason::DuplicateSuppressed,
-                            bytes,
-                            true,
-                        );
-                        return;
-                    }
-                    ring.push_back(id);
-                    while ring.len() > window {
-                        ring.pop_front();
-                    }
-                }
-            }
-            {
-                let c = self.metrics.node_mut(inflight.to);
-                c.received += 1;
-                c.bytes_received += bytes as u64;
-            }
-            let rx_uj = self.est_energy_uj(bytes, true);
-            self.ledger.record_rx(inflight.to, from, kind, bytes, rx_uj);
-            if let Some(hook) = &self.trace {
-                hook.msg_delivered(id, from, inflight.to);
-            }
-            self.charge(inflight.to, bytes, true);
-            // The receive itself may have exhausted the battery; the alive
-            // re-check shares the slot access that enqueues the frame.
-            if let Some(st) = self.nodes.get_mut(inflight.to.0 as usize) {
-                if !st.positions.is_empty() {
-                    self.inbox_bytes += frame_heap_bytes(&inflight.frame);
-                    self.inbox_bytes_peak = self.inbox_bytes_peak.max(self.inbox_bytes);
-                    st.inbox.push(inflight.frame);
-                    self.dirty_inboxes.push(inflight.to);
-                }
+        let (id, kind) = (inflight.frame.msg_id, inflight.kind);
+        let (from, to) = (inflight.frame.from, inflight.to);
+        let bytes = inflight.frame.payload.len();
+        if let Some((reason, heard)) = self.receive_drop(&inflight) {
+            self.drop_msg(id, kind, from, to, reason, bytes, heard);
+            return;
+        }
+        let rx_uj = self.est_energy_uj(bytes, true);
+        self.ledger.record_rx(to, from, kind, bytes, rx_uj);
+        if let Some(hook) = &self.trace {
+            hook.msg_delivered(id, from, to);
+        }
+        self.charge(to, bytes, true);
+        // The receive itself may have exhausted the battery; the alive
+        // re-check shares the slot access that enqueues the frame.
+        if let Some(st) = self.nodes.get_mut(to.0 as usize) {
+            if !st.positions.is_empty() {
+                self.inbox_bytes += frame_heap_bytes(&inflight.frame);
+                self.inbox_bytes_peak = self.inbox_bytes_peak.max(self.inbox_bytes);
+                st.inbox.push(inflight.frame);
+                self.dirty_inboxes.push(to);
             }
         }
+    }
+
+    /// Why a due frame dies at its receiver, if it does, and whether the
+    /// radio saw it fail. Updates the receiver's dedup ring on the way.
+    fn receive_drop(&mut self, inflight: &InFlight) -> Option<(DropReason, bool)> {
+        // Dead receivers silently lose frames: the radio saw no failure,
+        // but the ledger still closes the frame so conservation holds.
+        if self.pos(inflight.to).is_none() {
+            return Some((DropReason::NoSuchNode, false));
+        }
+        let plan = self.faults.as_ref()?;
+        // A crashed radio hears nothing while its window is open.
+        if plan.is_down(inflight.to, inflight.deliver_at) {
+            return Some((DropReason::NodeDown, true));
+        }
+        // Detected corruption dies at the receiver's CRC check.
+        if inflight.crc_failed {
+            return Some((DropReason::Corrupted, true));
+        }
+        // Duplicate suppression: a message id already seen within the
+        // receiver's dedup window is discarded.
+        let window = plan.spec().dedup_window;
+        if window > 0 {
+            let id = inflight.frame.msg_id;
+            let ring = &mut self.state_mut(inflight.to).recent;
+            if ring.contains(&id) {
+                return Some((DropReason::DuplicateSuppressed, true));
+            }
+            ring.push_back(id);
+            while ring.len() > window {
+                ring.pop_front();
+            }
+        }
+        None
     }
 
     /// Removes and returns everything in `id`'s inbox, oldest first.
@@ -1840,8 +1780,8 @@ mod tests {
         assert_eq!(t.tx_frames, t.delivered_frames + t.dropped_frames);
         assert_eq!(t.tx_frame_bytes, t.delivered_bytes + t.dropped_bytes);
         assert_eq!(t.delivered_frames, t.rx_msgs);
-        // The dead-receiver loss is ledger-only: metrics saw one drop
-        // (the out-of-range unicast), the ledger saw two.
+        // The dead-receiver loss is a silent drop: the metrics view
+        // reports one drop (the out-of-range unicast), the ledger two.
         assert_eq!(sim.metrics().total_drops(), 1);
         assert_eq!(t.dropped_frames, 2);
         for (id, c) in sim.ledger().per_node() {

@@ -6,15 +6,19 @@
 //! layers install an adapter that forwards transport events into their
 //! recorder of choice.
 //!
-//! [`TraceHook::radio_drop`] fires only for *recorded* drops — the same
-//! sites that bump [`crate::metrics::Metrics::record_drop`] — so a hook
-//! sees exactly what the drop counters count. In particular, out-of-range
-//! receivers during a broadcast are not drops (broadcast is best-effort
-//! by definition) and do not fire it. The ledger-level message hooks
-//! ([`TraceHook::msg_sent`] / [`msg_delivered`](TraceHook::msg_delivered)
-//! / [`msg_dropped`](TraceHook::msg_dropped)) instead follow every frame
-//! copy to its end, including the dead-receiver losses `Metrics` never
-//! sees — they are the event source for causal message tracing.
+//! The hook only forwards: counting is the communication ledger's job
+//! (`crate::ledger`), and [`Metrics`](crate::metrics::Metrics) is a view
+//! over that ledger.
+//!
+//! [`TraceHook::radio_drop`] fires only for drops the radio saw — exactly
+//! those [`Metrics::drop_counts`](crate::metrics::Metrics::drop_counts)
+//! reports. In particular, out-of-range receivers during a broadcast are
+//! not drops (broadcast is best-effort by definition) and do not fire it.
+//! The ledger-level message hooks ([`TraceHook::msg_sent`] /
+//! [`msg_delivered`](TraceHook::msg_delivered) /
+//! [`msg_dropped`](TraceHook::msg_dropped)) instead follow every frame
+//! copy to its end, including the silent dead-receiver losses `Metrics`
+//! leaves out — they are the event source for causal message tracing.
 
 use snd_topology::NodeId;
 
@@ -54,8 +58,9 @@ pub trait TraceHook: Send + Sync + std::fmt::Debug {
 
     /// A fault plan tampered with (but did not drop) a frame from `from`
     /// to `to`, or scheduled a node-level event (`from == to` for
-    /// [`FaultKind::NodeCrash`]). Fires at the same sites that bump
-    /// [`crate::metrics::Metrics::record_fault`]. Default: ignore.
+    /// [`FaultKind::NodeCrash`]). Fires once per fault
+    /// [`Metrics::fault_counts`](crate::metrics::Metrics::fault_counts)
+    /// counts. Default: ignore.
     fn fault_injected(&self, _kind: FaultKind, _from: NodeId, _to: NodeId) {}
 
     /// A logical send left a node's radio. Fires once per unicast or

@@ -25,9 +25,12 @@ use snd_trace::input::Row;
 
 const SEED: u64 = 42;
 
+/// `(from, to, parent, retransmission, kind)` of one recorded unicast.
+type UnicastSend = (u64, u64, Option<u64>, bool, String);
+
 /// One lossy reliable wave; returns the report row plus the recorder's
 /// raw snapshot for picking an interesting edge.
-fn lossy_wave() -> (Row, Vec<(u64, u64, Option<u64>, bool, String)>) {
+fn lossy_wave() -> (Row, Vec<UnicastSend>) {
     let mut engine = DiscoveryEngine::new(
         Field::square(100.0),
         RadioSpec::uniform(50.0),
@@ -60,7 +63,7 @@ fn lossy_wave() -> (Row, Vec<(u64, u64, Option<u64>, bool, String)>) {
     );
 
     // (from, to, parent, retransmission, kind) of every unicast send.
-    let unicasts: Vec<(u64, u64, Option<u64>, bool, String)> = recorder
+    let unicasts: Vec<UnicastSend> = recorder
         .snapshot()
         .iter()
         .filter_map(|r| match &r.event {
