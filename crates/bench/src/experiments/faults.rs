@@ -450,7 +450,7 @@ mod tests {
 
     #[test]
     fn key_cache_cuts_hashes_in_the_overhead_measurement() {
-        // Satellite check: under a duplication-heavy channel the pairwise
+        // Satellite check: under a duplication-heavy channel the neighbor
         // key memo must convert re-deliveries into cache hits and strictly
         // cut the hash-op overhead column.
         let s = PaperScenario {

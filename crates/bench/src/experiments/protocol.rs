@@ -2,11 +2,11 @@
 //!
 //! The topology perf bin times the *model* hot paths in isolation; this
 //! experiment times the whole protocol — one complete discovery wave with
-//! real crypto (hash chains, HMAC-sealed records, commitments) and the
-//! reliability layer enabled — at n ∈ {200, …, 250 000}. Each row runs
-//! with the wall-clock [`Profiler`](snd_observe::profile::Profiler)
-//! attached, so the `results/protocol.jsonl` rows carry `prof.*.ns` span
-//! histograms (`snd-trace flame` folds them into stacks) while the
+//! real crypto (SHA-256 key derivations, binding-record and relation
+//! commitments) and the reliability layer enabled — at n ∈ {200, …,
+//! 250 000}. Each row runs with the wall-clock [`Profiler`] attached, so
+//! the `results/protocol.jsonl` rows carry `prof.*.ns` span histograms
+//! (`snd-trace flame` folds them into stacks) while the
 //! committed `BENCH_protocol.json` keeps only the headline `_ms` wall
 //! fields next to its deterministic protocol counters.
 //!
@@ -134,7 +134,8 @@ pub struct ProtocolRow {
     pub unconfirmed_links: usize,
     /// Phases that degraded gracefully at their budget.
     pub timed_out_phases: u64,
-    /// Hash-chain and HMAC evaluations over the whole run.
+    /// SHA-256 evaluations (key derivations and commitments) over the whole
+    /// run.
     pub hash_ops: u64,
     /// Frames sent per node (unicasts + broadcasts).
     pub msgs_per_node: f64,

@@ -19,7 +19,7 @@
 //! experiment fans its independent trials out over an
 //! [`snd_exec::Executor`] (`SND_THREADS` workers) while keeping the merged
 //! output byte-identical at any thread count. Each binary also appends one
-//! machine-readable [`report::RunReport`] per table row to
+//! machine-readable [`RunReport`](snd_observe::report::RunReport) per table row to
 //! `results/<name>.jsonl` (see [`report`]).
 
 #![warn(missing_docs)]

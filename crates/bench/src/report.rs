@@ -64,8 +64,10 @@ impl ExperimentLog {
 /// `core.hash_ops`, …) agrees with the top-level `totals` / `hash_ops`.
 ///
 /// Multi-trial rows sum counters over many short-lived engines, so they
-/// cannot use [`MetricsRegistry::ingest_sim`] on a live engine; call this
-/// after the last trial is folded in and the registry snapshot captured.
+/// cannot use
+/// [`MetricsRegistry::ingest_sim`](snd_observe::registry::MetricsRegistry::ingest_sim)
+/// on a live engine; call this after the last trial is folded in and the
+/// registry snapshot captured.
 pub fn mirror_totals_into_registry(report: &mut RunReport) {
     let totals = report.totals;
     let counters = &mut report.registry.counters;

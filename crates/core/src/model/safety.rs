@@ -27,7 +27,7 @@ pub struct NodeImpact {
     /// Radius of the minimal circle containing all victims' deployment
     /// points (0 when fewer than 2 victims).
     pub containment_radius: f64,
-    /// Largest pairwise distance between victims.
+    /// Largest distance between two victims.
     pub victim_spread: f64,
 }
 

@@ -181,7 +181,7 @@ pub struct DiscoveryEngine {
     /// retransmitted request is re-served (the re-mint is deterministic)
     /// without double-counting `updates_applied`.
     served_updates: BTreeSet<(NodeId, NodeId)>,
-    /// Whether per-node pairwise-key caches are enabled on deploy.
+    /// Whether per-node neighbor-key caches are enabled on deploy.
     key_cache: bool,
     /// Structured-event sink; [`NullRecorder`] (free) unless installed.
     recorder: Arc<dyn Recorder>,
@@ -392,9 +392,9 @@ impl DiscoveryEngine {
         self.exec
     }
 
-    /// Enables or disables the per-node pairwise-key memo caches, for all
+    /// Enables or disables the per-node neighbor-key memo caches, for all
     /// already-deployed nodes and everything deployed later. On by default;
-    /// turning it off forces every derivation back through the hash chain
+    /// turning it off forces every derivation back through SHA-256
     /// (useful for measuring what the memoization saves).
     pub fn set_key_cache(&mut self, enabled: bool) {
         self.key_cache = enabled;
@@ -403,7 +403,7 @@ impl DiscoveryEngine {
         }
     }
 
-    /// Total pairwise-key/commitment derivations answered from node-local
+    /// Total neighbor-key/commitment derivations answered from node-local
     /// caches instead of re-hashing, across all deployed nodes.
     pub fn key_cache_hits(&self) -> u64 {
         self.nodes
@@ -2249,7 +2249,7 @@ mod tests {
 
     #[test]
     fn mem_table_samples_every_phase_and_shows_finalize_hygiene() {
-        // Fast-erase mode: the pairwise key cache is populated at commit
+        // Fast-erase mode: the neighbor-key cache is populated at commit
         // time (it replaces the master key), so its weight is visible to
         // the sampler until finalize clears it.
         let mut eng = DiscoveryEngine::new(
@@ -2281,16 +2281,16 @@ mod tests {
                 assert!(cells.contains_key(&(sub, phase)), "missing {sub}/{phase}");
             }
         }
-        // Mid-wave the nodes hold collected records and cached pairwise
+        // Mid-wave the nodes hold collected records and cached neighbor
         // keys; transport state is visibly nonzero.
         let nodes_collect = cells[&("nodes", "collect")];
         let keys_collect = cells[&("key_cache", "collect")];
         assert!(nodes_collect > 0, "collected records must weigh something");
-        assert!(keys_collect > 0, "pairwise key cache must weigh something");
+        assert!(keys_collect > 0, "neighbor-key cache must weigh something");
         assert!(cells[&("inboxes", "hello")] > 0, "inbox peak must register");
         assert!(cells[&("ledger", "hello")] > 0);
         // Section 4.3 storage hygiene at the finalize boundary: the
-        // per-wave collected stores and the pairwise key cache are
+        // per-wave collected stores and the neighbor-key cache are
         // dropped, so both subsystems must shrink from their collect-time
         // footprint.
         let nodes_final = cells[&("nodes", "finalize")];

@@ -67,7 +67,7 @@ pub struct CapturedState {
     pub evidence: Vec<RelationEvidence>,
 }
 
-/// Which pairwise-key derivation a cache entry memoizes.
+/// Which neighbor-key derivation a cache entry memoizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum KeyScheme {
     /// Record keys `RK_v` (fast-erasure record authentication).
@@ -76,7 +76,7 @@ pub enum KeyScheme {
     Verification,
 }
 
-/// Per-node cache of derived pairwise keys, keyed by `(scheme, neighbor)`.
+/// Per-node cache of derived neighbor keys, keyed by `(scheme, neighbor)`.
 ///
 /// Two roles share the map: the fast-erasure variant *stashes* the
 /// protocol-mandated neighbor keys here at commit time (mandatory state —
@@ -154,7 +154,7 @@ pub struct ProtocolNode {
     functional: BTreeSet<NodeId>,
     /// Evidence addressed to this node, buffered for future updates.
     evidence: Vec<RelationEvidence>,
-    /// Pairwise keys: the fast-erasure neighbor-key stash (derived at
+    /// Neighbor keys: the fast-erasure neighbor-key stash (derived at
     /// commit, destroyed at finalize) plus memoized derivations.
     keys: KeyCache,
     /// Memoized expected relation commitments `H(K_u ‖ from)`, keyed by
@@ -507,7 +507,7 @@ impl ProtocolNode {
         // Storage hygiene per Section 4.3: collected records are deleted
         // once used; "a sensor node only needs to remember its own binding
         // record, the functional neighbor list, and the verification key".
-        // The pairwise-key cache dies here too (keys zeroize on drop) —
+        // The neighbor-key cache dies here too (keys zeroize on drop) —
         // every entry descends from the master key being erased.
         self.collected.clear();
         self.keys.clear();
@@ -732,7 +732,7 @@ impl ProtocolNode {
 
     /// Logical heap bytes of the node's protocol state — its own binding
     /// record, tentative/functional sets, collected records, evidence
-    /// buffer and commitment memo — **excluding** the pairwise-key cache,
+    /// buffer and commitment memo — **excluding** the neighbor-key cache,
     /// which [`ProtocolNode::key_cache_bytes`] reports as its own
     /// subsystem. Length-based per DESIGN.md §17, so the figure is a pure
     /// function of the seed. The Section 4.3 storage-hygiene argument is
@@ -751,7 +751,7 @@ impl ProtocolNode {
             + self.collected.values().map(record_heap).sum::<u64>()
     }
 
-    /// Logical heap bytes of the pairwise-key cache (the fast-erasure
+    /// Logical heap bytes of the neighbor-key cache (the fast-erasure
     /// neighbor-key stash plus memoized derivations).
     pub fn key_cache_bytes(&self) -> u64 {
         use std::mem::size_of;

@@ -1,4 +1,4 @@
-//! Pairwise-key derivation accounting under replay.
+//! Neighbor-key derivation accounting under replay.
 //!
 //! The wave derives a verification key `K_v` per (u, v) relation through
 //! `KeyCache::get_or_derive`; this suite pins the "exactly one derivation

@@ -1,10 +1,10 @@
 //! Symmetric key material.
 //!
 //! Every secret in the protocol — the network-wide master key `K`, per-node
-//! verification keys `K_u`, and pairwise session keys — is a 256-bit
-//! [`SymmetricKey`]. Keys are zeroed on drop so stale copies do not linger in
-//! memory, matching the paper's reliance on secrets being unrecoverable once
-//! deleted.
+//! verification keys `K_u = H(K ‖ u)` and the fast-erasure variant's record
+//! keys `RK_v` — is a 256-bit [`SymmetricKey`]. Keys are zeroed on drop so
+//! stale copies do not linger in memory, matching the paper's reliance on
+//! secrets being unrecoverable once deleted.
 
 use core::fmt;
 

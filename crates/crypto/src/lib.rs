@@ -4,18 +4,19 @@
 //! reproducing *"Protecting Neighbor Discovery Against Node Compromises in
 //! Sensor Networks"* (Donggang Liu, ICDCS 2009).
 //!
-//! The paper's protocol needs exactly four cryptographic capabilities, all
+//! The paper's protocol (§4) needs two cryptographic capabilities, both
 //! provided here with no external crypto dependencies:
 //!
-//! 1. **A one-way hash** for verification keys, binding-record commitments,
-//!    relation commitments and update evidence — [`sha256`] (plus [`hmac`]
-//!    and [`hash_chain`] built on it).
-//! 2. **Secure deletion** of the master key `K` after the deployment trust
-//!    window — [`erasure`].
-//! 3. **Pairwise keys between any two nodes**, which the paper delegates to
-//!    key-predistribution schemes — [`pairwise`] implements
-//!    Eschenauer–Gligor, q-composite, Blom, and bivariate-polynomial schemes.
-//! 4. **Encrypted, authenticated, replay-protected links** — [`channel`].
+//! 1. **A one-way hash** for verification keys `K_u = H(K‖u)`, binding-record
+//!    commitments `C(u)`, relation commitments `C(u, v)` and update evidence
+//!    `E(u, v)` — [`sha256`], over the pre-loaded master key `K` held as a
+//!    [`keys::SymmetricKey`].
+//! 2. **Prompt erasure** of the master key `K` when the deployment trust
+//!    window closes — [`erasure`].
+//!
+//! Pairwise keys between neighbors are assumed, as in the paper, which
+//! delegates them to key-predistribution schemes and never evaluates them;
+//! they are not modelled here, and no experiment depends on link encryption.
 //!
 //! # Quick example
 //!
@@ -40,25 +41,13 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod broadcast_auth;
-pub mod channel;
 pub mod erasure;
-pub mod hash_chain;
-pub mod hmac;
 pub mod keys;
-pub mod merkle;
-pub mod pairwise;
 pub mod sha256;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::broadcast_auth::{TeslaError, TeslaReceiver, TeslaSender};
-    pub use crate::channel::{ChannelError, Envelope, SecureChannel};
     pub use crate::erasure::{ErasableKey, KeyErased};
-    pub use crate::hash_chain::HashChain;
-    pub use crate::hmac::{derive_key, HmacSha256};
     pub use crate::keys::SymmetricKey;
-    pub use crate::merkle::{MerkleProof, MerkleTree};
-    pub use crate::pairwise::{KeyPredistribution, RawNodeId};
     pub use crate::sha256::{Digest, Sha256};
 }

@@ -29,7 +29,7 @@ use core::fmt;
 pub const DIGEST_LEN: usize = 32;
 
 /// Number of bytes in a SHA-256 input block.
-pub const BLOCK_LEN: usize = 64;
+const BLOCK_LEN: usize = 64;
 
 /// SHA-256 round constants: the first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes.

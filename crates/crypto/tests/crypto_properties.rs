@@ -2,12 +2,6 @@
 
 use proptest::prelude::*;
 
-use snd_crypto::channel::SecureChannel;
-use snd_crypto::hmac::HmacSha256;
-use snd_crypto::keys::SymmetricKey;
-use snd_crypto::merkle::MerkleTree;
-use snd_crypto::pairwise::field::{poly_eval, Fe, P};
-use snd_crypto::pairwise::{blom::BlomScheme, polynomial::PolynomialScheme, KeyPredistribution};
 use snd_crypto::sha256::Sha256;
 
 proptest! {
@@ -23,144 +17,5 @@ proptest! {
         h.update(&data[..split]);
         h.update(&data[split..]);
         prop_assert_eq!(h.finalize(), Sha256::digest(&data));
-    }
-
-    #[test]
-    fn hmac_key_and_message_sensitivity(
-        key in prop::collection::vec(any::<u8>(), 1..100),
-        msg in prop::collection::vec(any::<u8>(), 0..200),
-        flip in any::<u8>(),
-    ) {
-        let tag = HmacSha256::mac(&key, &msg);
-        prop_assert!(HmacSha256::verify(&key, &msg, &tag));
-
-        // Flip one key byte: verification fails.
-        let mut bad_key = key.clone();
-        let idx = (flip as usize) % bad_key.len();
-        bad_key[idx] ^= 0x5a;
-        prop_assert!(!HmacSha256::verify(&bad_key, &msg, &tag));
-
-        // Flip one message byte (when nonempty): verification fails.
-        if !msg.is_empty() {
-            let mut bad_msg = msg.clone();
-            let idx = (flip as usize) % bad_msg.len();
-            bad_msg[idx] ^= 0x5a;
-            prop_assert!(!HmacSha256::verify(&key, &bad_msg, &tag));
-        }
-    }
-
-    #[test]
-    fn field_arithmetic_laws(a in 0..P, b in 0..P, c in 0..P) {
-        let (a, b, c) = (Fe::new(a), Fe::new(b), Fe::new(c));
-        // Commutativity & associativity.
-        prop_assert_eq!(a.add(b), b.add(a));
-        prop_assert_eq!(a.mul(b), b.mul(a));
-        prop_assert_eq!(a.add(b).add(c), a.add(b.add(c)));
-        prop_assert_eq!(a.mul(b).mul(c), a.mul(b.mul(c)));
-        // Distributivity.
-        prop_assert_eq!(a.mul(b.add(c)), a.mul(b).add(a.mul(c)));
-        // Identities & inverses.
-        prop_assert_eq!(a.add(Fe::ZERO), a);
-        prop_assert_eq!(a.mul(Fe::ONE), a);
-        prop_assert_eq!(a.sub(a), Fe::ZERO);
-        if a != Fe::ZERO {
-            prop_assert_eq!(a.mul(a.inv()), Fe::ONE);
-        }
-    }
-
-    #[test]
-    fn horner_evaluation_is_linear_in_coefficients(
-        coeffs_a in prop::collection::vec(0..P, 1..8),
-        coeffs_b in prop::collection::vec(0..P, 1..8),
-        x in 0..P,
-    ) {
-        // eval(a + b, x) == eval(a, x) + eval(b, x) on padded vectors.
-        let n = coeffs_a.len().max(coeffs_b.len());
-        let pad = |v: &[u64]| -> Vec<Fe> {
-            (0..n).map(|i| Fe::new(v.get(i).copied().unwrap_or(0))).collect()
-        };
-        let a = pad(&coeffs_a);
-        let b = pad(&coeffs_b);
-        let sum: Vec<Fe> = a.iter().zip(&b).map(|(x, y)| x.add(*y)).collect();
-        let x = Fe::new(x);
-        prop_assert_eq!(poly_eval(&sum, x), poly_eval(&a, x).add(poly_eval(&b, x)));
-    }
-
-    #[test]
-    fn polynomial_scheme_symmetric_for_arbitrary_ids(
-        lambda in 1usize..10,
-        a in any::<u64>(),
-        b in any::<u64>(),
-        seed in any::<u64>(),
-    ) {
-        prop_assume!(a != b);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        use rand::SeedableRng as _;
-        let mut scheme = PolynomialScheme::setup(lambda, &mut rng);
-        let ma = scheme.assign(a, &mut rng);
-        let mb = scheme.assign(b, &mut rng);
-        prop_assert_eq!(scheme.agree(a, &ma, b), scheme.agree(b, &mb, a));
-    }
-
-    #[test]
-    fn blom_scheme_symmetric_for_arbitrary_ids(
-        lambda in 1usize..10,
-        a in any::<u64>(),
-        b in any::<u64>(),
-        seed in any::<u64>(),
-    ) {
-        prop_assume!(a != b);
-        use rand::SeedableRng as _;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut scheme = BlomScheme::setup(lambda, &mut rng);
-        let ma = scheme.assign(a, &mut rng);
-        let mb = scheme.assign(b, &mut rng);
-        prop_assert_eq!(scheme.agree(a, &ma, b), scheme.agree(b, &mb, a));
-    }
-
-    #[test]
-    fn channel_round_trips_arbitrary_payloads(
-        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 1..10),
-        key_bytes in any::<[u8; 32]>(),
-    ) {
-        let key = SymmetricKey::from_bytes(key_bytes);
-        let mut alice = SecureChannel::new(&key, 1, 2);
-        let mut bob = SecureChannel::new(&key, 2, 1);
-        for p in &payloads {
-            let env = alice.seal(p);
-            prop_assert_eq!(&bob.open(&env).unwrap(), p);
-        }
-    }
-
-    #[test]
-    fn channel_rejects_any_single_bitflip(
-        payload in prop::collection::vec(any::<u8>(), 1..100),
-        key_bytes in any::<[u8; 32]>(),
-        byte in any::<usize>(),
-        bit in 0u8..8,
-    ) {
-        let key = SymmetricKey::from_bytes(key_bytes);
-        let mut alice = SecureChannel::new(&key, 1, 2);
-        let mut bob = SecureChannel::new(&key, 2, 1);
-        let mut env = alice.seal(&payload);
-        let idx = byte % env.ciphertext.len();
-        env.ciphertext[idx] ^= 1 << bit;
-        prop_assert!(bob.open(&env).is_err());
-    }
-
-    #[test]
-    fn merkle_proofs_reject_cross_leaf_claims(
-        items in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 2..20),
-        i in any::<usize>(),
-        j in any::<usize>(),
-    ) {
-        let tree = MerkleTree::build(items.iter().map(|v| v.as_slice()));
-        let i = i % items.len();
-        let j = j % items.len();
-        let proof = tree.prove(i).unwrap();
-        prop_assert!(proof.verify(&tree.root(), &items[i]));
-        if items[i] != items[j] {
-            prop_assert!(!proof.verify(&tree.root(), &items[j]));
-        }
     }
 }

@@ -53,11 +53,11 @@ pub fn splitmix64(mut z: u64) -> u64 {
 
 /// Derives trial `trial`'s seed from `base_seed`.
 ///
-/// The trial index strides by [`GOLDEN_GAMMA`] before the avalanche mix,
-/// so `trial_seed(b, i) == trial_seed(b', i')` for `(b, i) != (b', i')`
-/// requires `b - b'` to equal an exact multiple of the gamma — unlike the
-/// old `base + trial` derivation, where seed 42 / trial 1 and seed 43 /
-/// trial 0 were the *same* experiment.
+/// The trial index strides by the golden-ratio gamma (`0x9E37_79B9_7F4A_7C15`)
+/// before the avalanche mix, so `trial_seed(b, i) == trial_seed(b', i')` for
+/// `(b, i) != (b', i')` requires `b - b'` to equal an exact multiple of the
+/// gamma — unlike the old `base + trial` derivation, where seed 42 / trial 1
+/// and seed 43 / trial 0 were the *same* experiment.
 #[inline]
 pub fn trial_seed(base_seed: u64, trial: u64) -> u64 {
     splitmix64(base_seed.wrapping_add(trial.wrapping_mul(GOLDEN_GAMMA)))

@@ -118,7 +118,7 @@ pub enum Event {
         node: NodeId,
         /// The committing neighbor.
         from: NodeId,
-        /// Whether the commitment verified against the pairwise key.
+        /// Whether the commitment verified against the verification key.
         ok: bool,
     },
     /// Phase-4 forensics: `node` buffered relation evidence issued by

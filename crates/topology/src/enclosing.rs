@@ -84,7 +84,7 @@ fn widest_pair_circle(pts: &[Point]) -> Circle {
     best
 }
 
-/// The diameter of a point set: the largest pairwise distance.
+/// The diameter of a point set: the largest distance between two points.
 ///
 /// Used to express safety violations in the paper's terms ("two benign nodes
 /// at least d away from each other"). O(n^2); fine at sensor-network sizes.

@@ -272,9 +272,8 @@ impl FrozenGraph {
     /// sort, then each node's in-neighbors are marked in one reusable
     /// scratch bitmap and its forward row filtered against it — O(V + E)
     /// overall, versus a binary search per edge on low-degree rows. The
-    /// per-edge probe path survives as [`mutual_view_reference`]
-    /// (`Self::mutual_view_reference`); the property tests assert both
-    /// produce identical snapshots.
+    /// per-edge probe path survives as [`Self::mutual_view_reference`]; the
+    /// property tests assert both produce identical snapshots.
     pub fn mutual_view(&self) -> FrozenGraph {
         let n = self.ids.len();
         // Transpose by counting sort. Filling in ascending source order

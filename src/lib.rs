@@ -9,8 +9,7 @@
 //!
 //! This facade crate re-exports the workspace members:
 //!
-//! * [`crypto`] (`snd-crypto`) — SHA-256, HMAC, hash chains, erasable keys,
-//!   key predistribution, sealed channels;
+//! * [`crypto`] (`snd-crypto`) — SHA-256 and the erasable master-key cell;
 //! * [`topology`] (`snd-topology`) — deployments, unit-disk graphs,
 //!   partitions, minimal enclosing circles;
 //! * [`sim`] (`snd-sim`) — the deterministic discrete-event simulator;

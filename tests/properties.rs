@@ -16,7 +16,6 @@ use secure_neighbor_discovery::core::model::validation::{
 };
 use secure_neighbor_discovery::core::prelude::*;
 use secure_neighbor_discovery::core::protocol::Message;
-use secure_neighbor_discovery::crypto::hash_chain::HashChain;
 use secure_neighbor_discovery::crypto::keys::SymmetricKey;
 use secure_neighbor_discovery::crypto::sha256::{Digest, Sha256};
 use secure_neighbor_discovery::sim::prelude::HashCounter;
@@ -182,22 +181,6 @@ proptest! {
         let (decoded, rest) = BindingRecord::decode(&bytes).unwrap();
         prop_assert_eq!(decoded, record);
         prop_assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn hash_chain_links_verify_only_at_their_index(
-        seed in any::<[u8; 32]>(),
-        len in 1usize..20,
-        i in 0usize..20,
-        j in 0usize..20,
-    ) {
-        prop_assume!(i <= len && j <= len);
-        let chain = HashChain::from_seed(Digest(seed), len);
-        let vi = chain.link(i).expect("in range");
-        prop_assert_eq!(HashChain::verify(&chain.anchor(), &vi, i), true);
-        if i != j {
-            prop_assert!(!HashChain::verify(&chain.anchor(), &vi, j));
-        }
     }
 
     #[test]
